@@ -203,12 +203,10 @@ main(int argc, char **argv)
                 brk::Msg pull;
                 pull.type = "pull";
                 pull.worker = name;
+                pull.pollSec = bcfg.heartbeatSec; // long poll
                 const brk::Msg task = ask(broker, pull);
-                if (task.type != "assign") {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(5));
+                if (task.type != "assign")
                     continue;
-                }
                 const srv::ShardResponse r =
                     server.handle(task.args);
                 brk::Msg c;
@@ -224,23 +222,32 @@ main(int argc, char **argv)
             }
         });
 
+    // Outside the timed section: stopping the broker ends the idle
+    // workers' held pulls, so shutdown is not charged to the job.
+    auto stopWorkers = [&] {
+        stop.store(true);
+        broker.stop();
+        for (std::thread &t : pool)
+            t.join();
+    };
+
     brk::Msg poll;
     poll.type = "poll";
     poll.job = job.job;
+    poll.pollSec = bcfg.heartbeatSec; // long poll
     for (;;) {
         const brk::Msg st = ask(broker, poll);
         if (st.complete || st.jobFailed) {
             if (st.jobFailed) {
                 std::fprintf(stderr, "bench_broker: job failed\n");
+                stopWorkers();
                 return 1;
             }
             break;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        poll.done = st.done;
+        poll.failed = st.failed;
     }
-    stop.store(true);
-    for (std::thread &t : pool)
-        t.join();
 
     // Fetch every payload into a checkpoint directory and let the
     // Orchestrator do the validated merge — the exact path
@@ -259,6 +266,7 @@ main(int argc, char **argv)
                 res.payload, &err)) {
             std::fprintf(stderr, "bench_broker: fetch %zu failed\n",
                          i);
+            stopWorkers();
             return 1;
         }
     }
@@ -266,7 +274,7 @@ main(int argc, char **argv)
     driveJob(stem + ".jobB", workloadArgs, shots, shards, workers,
              /*resume=*/true, viaBroker);
     const double e2eBroker = secondsSince(t0);
-    broker.stop();
+    stopWorkers();
     const brk::Broker::Stats st = broker.stats();
 
     // Baseline: the same job via plain fork/exec supervision.

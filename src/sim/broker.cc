@@ -4,8 +4,8 @@
  * wire messages (flat JSON, hardened Cursor), the journal line format
  * and its truncation/tamper-aware loader, then the Broker: job and
  * lease state, the pull/commit/steal scheduler, journal replay and
- * compaction, and the socket plumbing (same accept/per-connection
- * shape as sim/server.cc).
+ * compaction, and the socket plumbing (the per-connection threads
+ * live in a srv::ConnectionSet, as in sim/server.cc).
  */
 
 #include "sim/broker.hh"
@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -201,15 +202,42 @@ parseMsg(const std::string &text, Msg &out, std::string *err)
     return true;
 }
 
+namespace {
+
+/** Block until @p fd is readable; false when @p cancelFd turns
+ *  readable first. */
+bool
+awaitResponse(int fd, int cancelFd, std::string *err)
+{
+    pollfd fds[2] = {{fd, POLLIN, 0}, {cancelFd, POLLIN, 0}};
+    for (;;) {
+        if (::poll(fds, 2, -1) < 0) {
+            if (errno == EINTR)
+                continue;
+            if (err)
+                *err = std::string("poll: ") + std::strerror(errno);
+            return false;
+        }
+        if (fds[0].revents != 0)
+            return true; // data, EOF or error: recvFrame tells which
+        if (err)
+            *err = "cancelled";
+        return false;
+    }
+}
+
+} // namespace
+
 bool
 roundTrip(const std::string &socketPath, const Msg &req, Msg &resp,
-          std::string *err)
+          std::string *err, int cancelFd)
 {
     const int fd = srv::connectUnix(socketPath, err);
     if (fd < 0)
         return false;
     std::string frame;
     bool ok = srv::sendFrame(fd, buildMsg(req), err) &&
+              (cancelFd < 0 || awaitResponse(fd, cancelFd, err)) &&
               srv::recvFrame(fd, frame, srv::kDefaultMaxFrameBytes,
                              err);
     ::close(fd);
@@ -534,6 +562,24 @@ validCommit(const SweepPlan &plan,
 
 // --- Broker ------------------------------------------------------------
 
+void
+RunningMedian::add(double v)
+{
+    if (!upper_.empty() && v >= upper_.top())
+        upper_.push(v);
+    else
+        lower_.push(v);
+    const std::size_t wantLower = size() / 2;
+    while (lower_.size() > wantLower) {
+        upper_.push(lower_.top());
+        lower_.pop();
+    }
+    while (lower_.size() < wantLower) {
+        lower_.push(upper_.top());
+        upper_.pop();
+    }
+}
+
 Broker::Broker(BrokerConfig cfg) : cfg_(std::move(cfg))
 {
     // The broker consults QRAMSIM_FAULT for journal-truncate ONLY:
@@ -626,8 +672,7 @@ Broker::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!running_ && listenFd_ < 0 && connThreads_.empty() &&
-            journalFd_ < 0)
+        if (!running_ && listenFd_ < 0 && journalFd_ < 0)
             return;
         running_ = false;
         if (listenFd_ >= 0) {
@@ -635,21 +680,14 @@ Broker::stop()
             ::close(listenFd_);
             listenFd_ = -1;
         }
-        for (int fd : liveFds_)
-            ::shutdown(fd, SHUT_RDWR);
     }
+    // Every long poll re-checks running_ on wake and answers at once.
+    cv_.notify_all();
     if (acceptThread_.joinable())
         acceptThread_.join();
     if (housekeepingThread_.joinable())
         housekeepingThread_.join();
-    std::vector<std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        conns.swap(connThreads_);
-    }
-    for (std::thread &t : conns)
-        if (t.joinable())
-            t.join();
+    conns_.closeAll();
     std::lock_guard<std::mutex> lk(mu_);
     if (journalFd_ >= 0) {
         ::close(journalFd_);
@@ -676,14 +714,7 @@ Broker::acceptLoop()
                 continue;
             return;
         }
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!running_) {
-            ::close(fd);
-            return;
-        }
-        liveFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        conns_.spawn(fd, [this](int cfd) { serveConnection(cfd); });
     }
 }
 
@@ -695,17 +726,8 @@ Broker::serveConnection(int fd)
         std::string err;
         if (!srv::recvFrame(fd, frame, cfg_.maxFrameBytes, &err))
             break;
-        if (!srv::sendFrame(fd, handleMessage(frame)))
+        if (!srv::sendFrame(fd, handleMessage(frame, fd)))
             break;
-    }
-    ::close(fd);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::size_t i = 0; i < liveFds_.size(); ++i) {
-        if (liveFds_[i] == fd) {
-            liveFds_[i] = liveFds_.back();
-            liveFds_.pop_back();
-            break;
-        }
     }
 }
 
@@ -719,33 +741,91 @@ Broker::housekeepingLoop()
                 return;
             tickLocked(Clock::now());
         }
+        // Waiting pulls touch their workers on every tick, so a wait
+        // never outlasts workerDeadSec, and every wait re-checks.
+        cv_.notify_all();
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
 }
 
 std::string
-Broker::handleMessage(const std::string &frame)
+Broker::handleMessage(const std::string &frame, int peerFd)
 {
     Msg req, resp;
     std::string err;
-    const Clock::time_point now = Clock::now();
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
     if (!parseMsg(frame, req, &err)) {
         ++stats_.badFrames;
         resp.type = "error";
         resp.error = "bad frame: " + err;
         return buildMsg(resp);
     }
-    return buildMsg(handleLocked(req, now));
+    return buildMsg(handleLocked(req, lk, peerFd));
+}
+
+namespace {
+
+bool
+pullAnswered(const Msg &, const Msg &resp)
+{
+    return resp.type != "idle";
+}
+
+bool
+pollAnswered(const Msg &req, const Msg &resp)
+{
+    return resp.type != "status" || resp.complete || resp.jobFailed ||
+           resp.done != req.done || resp.failed != req.failed;
+}
+
+/** True once the peer of the connected socket @p fd has hung up — a
+ *  request/response client sends nothing while it waits. */
+bool
+peerHungUp(int fd)
+{
+    pollfd p = {fd, POLLRDHUP, 0};
+    return ::poll(&p, 1, 0) > 0 &&
+           (p.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+}
+
+} // namespace
+
+Msg
+Broker::longPollLocked(const Msg &req, std::unique_lock<std::mutex> &lk,
+                       int peerFd,
+                       Msg (Broker::*handler)(const Msg &,
+                                              Clock::time_point,
+                                              Clock::time_point *),
+                       bool (*answered)(const Msg &, const Msg &))
+{
+    const double budget = std::min(req.pollSec, cfg_.heartbeatSec);
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(budget));
+    for (;;) {
+        // A fresh now on every pass: lease issue times, worker
+        // liveness and client contact all date from the wake.
+        const Clock::time_point now = Clock::now();
+        Clock::time_point recheckAt = deadline;
+        Msg resp = (this->*handler)(req, now, &recheckAt);
+        if (answered(req, resp) || !running_ || now >= deadline)
+            return resp;
+        cv_.wait_until(lk, recheckAt);
+        if (peerFd >= 0 && peerHungUp(peerFd))
+            return resp; // nobody is left to take an assignment
+    }
 }
 
 Msg
-Broker::handleLocked(const Msg &req, Clock::time_point now)
+Broker::handleLocked(const Msg &req, std::unique_lock<std::mutex> &lk,
+                     int peerFd)
 {
+    const Clock::time_point now = Clock::now();
     if (req.type == "register")
         return handleRegister(req, now);
     if (req.type == "pull")
-        return handlePull(req, now);
+        return longPollLocked(req, lk, peerFd, &Broker::handlePull,
+                              &pullAnswered);
     if (req.type == "heartbeat")
         return handleHeartbeat(req, now);
     if (req.type == "commit")
@@ -753,7 +833,8 @@ Broker::handleLocked(const Msg &req, Clock::time_point now)
     if (req.type == "submit")
         return handleSubmit(req, now);
     if (req.type == "poll")
-        return handlePoll(req, now);
+        return longPollLocked(req, lk, peerFd, &Broker::handlePoll,
+                              &pollAnswered);
     if (req.type == "fetch")
         return handleFetch(req, now);
     ++stats_.badFrames;
@@ -777,10 +858,8 @@ Broker::leaseDurationLocked() const
 {
     if (cfg_.stragglerFactor > 0.0 &&
         doneDurations_.size() >= cfg_.stragglerMinDone) {
-        std::vector<double> sorted(doneDurations_);
-        std::sort(sorted.begin(), sorted.end());
-        const double median = sorted[sorted.size() / 2];
-        const double scaled = cfg_.stragglerFactor * median;
+        const double scaled =
+            cfg_.stragglerFactor * doneDurations_.median();
         // Never let a fast history shrink the lease below a sane
         // floor: scheduling noise alone can exceed a tiny median.
         return std::max(scaled, cfg_.heartbeatSec * 2.0);
@@ -801,12 +880,13 @@ Broker::handleRegister(const Msg &req, Clock::time_point now)
     resp.type = "registered";
     resp.worker = req.worker;
     resp.heartbeatSec = cfg_.heartbeatSec;
-    resp.pollSec = cfg_.pollSec;
+    resp.pollSec = cfg_.heartbeatSec; // the longest wait a pull gets
     return resp;
 }
 
 Msg
-Broker::handlePull(const Msg &req, Clock::time_point now)
+Broker::handlePull(const Msg &req, Clock::time_point now,
+                   Clock::time_point *recheckAt)
 {
     Msg resp;
     if (req.worker.empty()) {
@@ -892,10 +972,11 @@ Broker::handlePull(const Msg &req, Clock::time_point now)
     // says it is overdue and nobody else is already duplicating it.
     if (cfg_.stragglerFactor > 0.0 &&
         doneDurations_.size() >= cfg_.stragglerMinDone) {
-        std::vector<double> sorted(doneDurations_);
-        std::sort(sorted.begin(), sorted.end());
         const double threshold =
-            cfg_.stragglerFactor * sorted[sorted.size() / 2];
+            cfg_.stragglerFactor * doneDurations_.median();
+        const Clock::duration thresholdDur =
+            std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(threshold));
         const Lease *victim = nullptr;
         double victimAge = 0.0;
         for (const auto &kv : leases_) {
@@ -915,6 +996,10 @@ Broker::handlePull(const Msg &req, Clock::time_point now)
                 victim = &l;
                 victimAge = age;
             }
+            if (age <= threshold) // wake when it becomes stealable
+                *recheckAt = std::min(
+                    *recheckAt,
+                    l.issued + thresholdDur + Clock::duration(1));
         }
         if (victim)
             return assign(jobs_.find(victim->job)->second,
@@ -922,7 +1007,6 @@ Broker::handlePull(const Msg &req, Clock::time_point now)
     }
 
     resp.type = "idle";
-    resp.pollSec = cfg_.pollSec;
     return resp;
 }
 
@@ -991,6 +1075,7 @@ Broker::returnShardLocked(const std::string &jobId, std::size_t shard,
     ss.hasReturnedAt = true;
     ss.returnedAt = now;
     queue_.push_back(QueueEntry{jobId, shard});
+    cv_.notify_all();
 }
 
 Msg
@@ -1051,7 +1136,7 @@ Broker::handleCommit(const Msg &req, Clock::time_point now)
         if (validCommit(job.plan, job.expectedWorkload, shard,
                         req.payload, &why)) {
             if (leaseAge >= 0.0)
-                doneDurations_.push_back(leaseAge);
+                doneDurations_.add(leaseAge);
             acceptCommitLocked(job, shard, req.payload, now);
             resp.accepted = 1;
             return resp;
@@ -1088,6 +1173,7 @@ Broker::acceptCommitLocked(Job &job, std::size_t shard,
     ss.failed = false;
     ss.payload = payload;
     ++stats_.commitsAccepted;
+    cv_.notify_all();
     {
         JournalBody b;
         b.kind = "commit";
@@ -1121,6 +1207,7 @@ Broker::failShardLocked(Job &job, std::size_t shard,
     ss.failed = true;
     ss.lastError = why;
     ++stats_.shardsFailed;
+    cv_.notify_all();
     JournalBody b;
     b.kind = "failed";
     b.job = job.id;
@@ -1151,7 +1238,7 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
             return resp;
         }
         job.lastClientContact = now;
-        job.parked = false;
+        unparkLocked(job);
         ++stats_.jobsResumed;
         resp.type = "job";
         resp.job = id;
@@ -1188,6 +1275,7 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
     }
     for (std::size_t i = 0; i < job.plan.shards.size(); ++i)
         queue_.push_back(QueueEntry{id, i});
+    cv_.notify_all();
     ++stats_.jobsSubmitted;
     resp.type = "job";
     resp.job = id;
@@ -1197,7 +1285,8 @@ Broker::handleSubmit(const Msg &req, Clock::time_point now)
 }
 
 Msg
-Broker::handlePoll(const Msg &req, Clock::time_point now)
+Broker::handlePoll(const Msg &req, Clock::time_point now,
+                   Clock::time_point *)
 {
     Msg resp;
     auto it = jobs_.find(req.job);
@@ -1208,7 +1297,7 @@ Broker::handlePoll(const Msg &req, Clock::time_point now)
     }
     Job &job = it->second;
     job.lastClientContact = now;
-    job.parked = false; // a polling client unparks its job
+    unparkLocked(job); // a polling client unparks its job
     resp.type = "status";
     resp.total = job.shards.size();
     std::size_t nDone = 0, nFailed = 0;
@@ -1239,7 +1328,7 @@ Broker::handleFetch(const Msg &req, Clock::time_point now)
     }
     Job &job = it->second;
     job.lastClientContact = now;
-    job.parked = false;
+    unparkLocked(job);
     if (req.shard >= job.shards.size()) {
         resp.type = "error";
         resp.error = "shard index out of range";
@@ -1255,6 +1344,15 @@ Broker::handleFetch(const Msg &req, Clock::time_point now)
     resp.shard = req.shard;
     resp.payload = ss.payload;
     return resp;
+}
+
+void
+Broker::unparkLocked(Job &job)
+{
+    if (!job.parked)
+        return;
+    job.parked = false;
+    cv_.notify_all(); // its queued shards dispatch again
 }
 
 void
@@ -1361,8 +1459,14 @@ Broker::appendEntryLocked(const std::string &body,
         ::fsync(journalFd_);
     ++nextSeq_;
     journalBytes_ += line.size();
-    if (journalBytes_ > cfg_.rotateBytes)
+    // Rotate only once the journal has doubled since the last
+    // snapshot: every job stays in the snapshot, so rotating at a
+    // fixed size would rewrite the whole state on every append once
+    // the state alone outgrew rotateBytes.
+    if (journalBytes_ > std::max(cfg_.rotateBytes, 2 * snapshotBytes_)) {
+        ++stats_.journalCompactions;
         compactLocked();
+    }
 }
 
 void
@@ -1429,6 +1533,7 @@ Broker::compactLocked(std::string *err)
         *err = "open " + path + ": " + std::strerror(errno);
     nextSeq_ = seq;
     journalBytes_ = text.size();
+    snapshotBytes_ = text.size();
 }
 
 bool
@@ -1542,7 +1647,7 @@ Broker::statsJson() const
 {
     const Stats s = stats();
     std::string out = "{\n  \"qramsim_broker_stats\": 1,\n";
-    char buf[1024];
+    char buf[2048];
     std::snprintf(
         buf, sizeof buf,
         "  \"jobs_submitted\": %llu,\n  \"jobs_resumed\": %llu,\n"
@@ -1558,6 +1663,7 @@ Broker::statsJson() const
         "  \"duplicate_mismatches\": %llu,\n"
         "  \"journal_replayed_commits\": %llu,\n"
         "  \"journal_dropped_entries\": %llu,\n"
+        "  \"journal_compactions\": %llu,\n"
         "  \"bad_frames\": %llu,\n",
         static_cast<unsigned long long>(s.jobsSubmitted),
         static_cast<unsigned long long>(s.jobsResumed),
@@ -1577,6 +1683,7 @@ Broker::statsJson() const
         static_cast<unsigned long long>(s.duplicateMismatches),
         static_cast<unsigned long long>(s.journalReplayedCommits),
         static_cast<unsigned long long>(s.journalDroppedEntries),
+        static_cast<unsigned long long>(s.journalCompactions),
         static_cast<unsigned long long>(s.badFrames));
     out += buf;
     out += "  \"steal_latency_seconds_total\": ";

@@ -31,8 +31,9 @@
  * special handshake):
  *
  *   register            -> registered {heartbeat_seconds, poll_seconds}
- *   pull {worker}       -> assign {lease, job, shard, nshards, args[]}
- *                        | idle {poll_seconds}
+ *   pull {worker, poll_seconds}
+ *                       -> assign {lease, job, shard, nshards, args[]}
+ *                        | idle
  *   heartbeat {worker, lease, progress}
  *                       -> ok {cancel}   (lease 0 = liveness only)
  *   commit {worker, lease, job, shard, status, error, payload}
@@ -42,9 +43,34 @@
  *
  *   submit {args[], nshards, fingerprint}
  *                       -> job {job, total, resumed}
- *   poll {job}          -> status {total, done[], failed[], complete,
+ *   poll {job, done[], failed[], poll_seconds}
+ *                       -> status {total, done[], failed[], complete,
  *                                  job_failed}
  *   fetch {job, shard}  -> result {shard, payload} | pending | error
+ *
+ * ## Long polls
+ *
+ * `pull` and `poll` are long polls: a request's `poll_seconds` is the
+ * longest the caller will wait for news. A `pull` is held until a
+ * shard can be assigned (queued, or stealable); a `poll` is held
+ * until the job's done/failed sets differ from the `done[]`/
+ * `failed[]` the request carries (what the client has already seen)
+ * or the job settles. Either answers `idle` / the unchanged `status`
+ * when the budget runs out. The broker caps the budget at the
+ * heartbeat interval — `registered.poll_seconds` announces the cap —
+ * and touches the waiting worker whenever the wait wakes, so a
+ * blocked pull never looks like a dead worker. A budget of 0 (the
+ * default) answers at once, and so does a broker that is not
+ * running. A waiting poll whose caller hangs up ends at its next
+ * wake. Waits sleep on one condition variable, woken by every
+ * transition that can answer them (submit, requeue — which covers
+ * lease expiries and dead workers — commit, failure, unpark), by
+ * each housekeeping tick, and by stop(); a waiting pull also wakes
+ * on its own when an in-flight lease crosses the steal threshold.
+ *
+ * Connections are served one thread each; a finished connection's
+ * thread is joined when the next connection is accepted
+ * (srv::ConnectionSet), and stop() joins the rest.
  *
  * ## Leases and stealing
  *
@@ -68,8 +94,12 @@
  * `{"qramsim_broker_journal":1,"seq":N,"hash":"<16hex>","body":"…"}`
  * where hash = fnv1a64("<seq>:" + body). Appends are O_APPEND +
  * fsync (knob: atomicFileFsync), rotation is a compacted snapshot
- * through atomicWriteFile. The loader is hardened like the PR 8
- * manifest: a torn FINAL line (the SIGKILL-mid-write shape) is
+ * through atomicWriteFile. A rotation happens when the journal
+ * outgrows both rotateBytes and twice the last snapshot, so each
+ * snapshot rewrite is paid for by at least as many appended bytes
+ * and the number of rotations grows with the log of the journal
+ * volume, not with the number of appends. The loader is hardened
+ * like the orchestrator's manifest: a torn FINAL line (the SIGKILL-mid-write shape) is
  * dropped and counted; any bad line before the tail is tampering and
  * rejects the whole journal. Replayed commit payloads are
  * re-validated against the job's plan before being trusted; invalid
@@ -90,11 +120,14 @@
 #define QRAMSIM_SIM_BROKER_HH
 
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,7 +158,10 @@ struct Msg
     std::uint64_t progress = 0;
     std::uint64_t cancel = 0, accepted = 0, duplicate = 0;
     std::uint64_t resumed = 0, complete = 0, jobFailed = 0;
-    double heartbeatSec = 0.0, pollSec = 0.0;
+    double heartbeatSec = 0.0;
+    /** Long-poll budget on pull/poll requests; on `registered`, the
+     *  longest wait the broker grants. */
+    double pollSec = 0.0;
     std::vector<std::string> args;
     std::vector<double> done, failed;
 };
@@ -135,9 +171,12 @@ bool parseMsg(const std::string &json, Msg &out,
               std::string *err = nullptr);
 
 /** One framed request/response round trip over a fresh connection to
- *  @p socketPath. False (with reason) on any transport failure. */
+ *  @p socketPath. False (with reason) on any transport failure. With
+ *  @p cancelFd >= 0, the wait for the response (a long poll) is
+ *  abandoned as soon as @p cancelFd turns readable. */
 bool roundTrip(const std::string &socketPath, const Msg &req,
-               Msg &resp, std::string *err = nullptr);
+               Msg &resp, std::string *err = nullptr,
+               int cancelFd = -1);
 
 // --- Journal -----------------------------------------------------------
 
@@ -164,6 +203,27 @@ bool parseJournal(const std::string &text,
                   std::string *err = nullptr);
 
 // --- Broker ------------------------------------------------------------
+
+/**
+ * The upper median (sorted[n / 2]) of a growing sample, kept in two
+ * heaps so add() is O(log n) and median() O(1) — the broker asks for
+ * it on every assignment and idle pull, and the sample (every
+ * completed shard's duration) is never trimmed.
+ */
+class RunningMedian
+{
+  public:
+    void add(double v);
+    std::size_t size() const { return lower_.size() + upper_.size(); }
+    /** Requires size() > 0. */
+    double median() const { return upper_.top(); }
+
+  private:
+    std::priority_queue<double> lower_; ///< the n/2 smallest
+    std::priority_queue<double, std::vector<double>,
+                        std::greater<double>>
+        upper_; ///< the rest; its least is the median
+};
 
 struct BrokerConfig
 {
@@ -198,10 +258,8 @@ struct BrokerConfig
      *  parked jobs stop dispatching until the client returns. */
     double parkAfterSec = 60.0;
 
-    /** Idle-worker poll interval announced in `idle` responses. */
-    double pollSec = 0.05;
-
-    /** Compact the journal when it outgrows this. */
+    /** Compact the journal when it outgrows this AND twice the last
+     *  compacted snapshot. */
     std::size_t rotateBytes = std::size_t(4) << 20;
 
     std::uint32_t maxFrameBytes = srv::kDefaultMaxFrameBytes;
@@ -227,9 +285,12 @@ class Broker
     /**
      * Dispatch one request frame and return the response frame — the
      * full protocol logic without a socket. Exposed for tests; the
-     * socket path is recvFrame -> handleMessage -> sendFrame.
+     * socket path is recvFrame -> handleMessage -> sendFrame, with
+     * the connection as @p peerFd so a long poll ends as soon as its
+     * caller hangs up (instead of leasing a shard to nobody).
      */
-    std::string handleMessage(const std::string &frame);
+    std::string handleMessage(const std::string &frame,
+                              int peerFd = -1);
 
     struct Stats
     {
@@ -251,6 +312,7 @@ class Broker
         std::uint64_t duplicateMismatches = 0;
         std::uint64_t journalReplayedCommits = 0;
         std::uint64_t journalDroppedEntries = 0;
+        std::uint64_t journalCompactions = 0; ///< growth rotations
         std::uint64_t badFrames = 0;
         double stealLatencySecTotal = 0.0; ///< queue-return -> pickup
     };
@@ -261,6 +323,9 @@ class Broker
 
     /** `<stateDir>/journal.jsonl`. */
     static std::string journalPath(const std::string &stateDir);
+
+    /** Connection threads not yet joined (ConnectionSet::unjoined). */
+    std::size_t connectionThreads() const { return conns_.unjoined(); }
 
   private:
     struct ShardState;
@@ -276,13 +341,26 @@ class Broker
     void housekeepingLoop();
     void tickLocked(Clock::time_point now);
 
-    Msg handleLocked(const Msg &req, Clock::time_point now);
+    Msg handleLocked(const Msg &req, std::unique_lock<std::mutex> &lk,
+                     int peerFd);
+    Msg longPollLocked(const Msg &req, std::unique_lock<std::mutex> &lk,
+                       int peerFd,
+                       Msg (Broker::*handler)(const Msg &,
+                                              Clock::time_point,
+                                              Clock::time_point *),
+                       bool (*answered)(const Msg &req,
+                                        const Msg &resp));
     Msg handleRegister(const Msg &req, Clock::time_point now);
-    Msg handlePull(const Msg &req, Clock::time_point now);
+    /** The long-poll handlers lower @p recheckAt to the moment their
+     *  answer can change with no event to announce it (a lease
+     *  crossing the steal threshold). */
+    Msg handlePull(const Msg &req, Clock::time_point now,
+                   Clock::time_point *recheckAt);
     Msg handleHeartbeat(const Msg &req, Clock::time_point now);
     Msg handleCommit(const Msg &req, Clock::time_point now);
     Msg handleSubmit(const Msg &req, Clock::time_point now);
-    Msg handlePoll(const Msg &req, Clock::time_point now);
+    Msg handlePoll(const Msg &req, Clock::time_point now,
+                   Clock::time_point *recheckAt);
     Msg handleFetch(const Msg &req, Clock::time_point now);
 
     Worker &touchWorkerLocked(const std::string &name,
@@ -291,6 +369,7 @@ class Broker
     void returnShardLocked(const std::string &jobId, std::size_t shard,
                            Clock::time_point now);
     void dropLeaseLocked(std::uint64_t leaseId);
+    void unparkLocked(Job &job);
     void acceptCommitLocked(Job &job, std::size_t shard,
                             const std::string &payload,
                             Clock::time_point now);
@@ -306,14 +385,16 @@ class Broker
     std::vector<fault::Spec> faults_; ///< journal-truncate only
 
     mutable std::mutex mu_;
+    std::condition_variable cv_; ///< long polls wait here on mu_
     std::map<std::string, Job> jobs_; ///< ordered: deterministic scans
     std::map<std::string, Worker> workers_;
     std::map<std::uint64_t, Lease> leases_;
     std::deque<QueueEntry> queue_;
-    std::vector<double> doneDurations_; ///< lease-scaling history
+    RunningMedian doneDurations_; ///< lease-scaling history
     std::uint64_t nextLease_ = 1;
     std::uint64_t nextSeq_ = 1;
     std::size_t journalBytes_ = 0;
+    std::size_t snapshotBytes_ = 0; ///< size of the last compaction
     int journalFd_ = -1;
     Stats stats_;
 
@@ -321,8 +402,7 @@ class Broker
     bool running_ = false;
     std::thread acceptThread_;
     std::thread housekeepingThread_;
-    std::vector<int> liveFds_;
-    std::vector<std::thread> connThreads_;
+    srv::ConnectionSet conns_;
 };
 
 } // namespace brk

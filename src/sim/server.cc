@@ -166,6 +166,61 @@ connectUnix(const std::string &path, std::string *err)
     return fd;
 }
 
+// --- Connection threads ------------------------------------------------
+
+void
+ConnectionSet::spawn(int fd, std::function<void(int)> serve)
+{
+    std::vector<std::thread> reap;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (std::uint64_t id : finished_) {
+            auto it = threads_.find(id);
+            reap.push_back(std::move(it->second));
+            threads_.erase(it);
+        }
+        finished_.clear();
+        const std::uint64_t id = nextId_++;
+        liveFds_[id] = fd;
+        // Created under the lock: the thread's own exit bookkeeping
+        // below cannot run before its handle is in threads_.
+        threads_.emplace(id, std::thread([this, id, fd,
+                                          serve = std::move(serve)] {
+            serve(fd);
+            std::lock_guard<std::mutex> done(mu_);
+            // Closed under the lock, so closeAll never shuts down a
+            // reused fd number.
+            ::close(fd);
+            liveFds_.erase(id);
+            finished_.push_back(id);
+        }));
+    }
+    for (std::thread &t : reap)
+        t.join();
+}
+
+void
+ConnectionSet::closeAll()
+{
+    std::map<std::uint64_t, std::thread> all;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (const auto &kv : liveFds_)
+            ::shutdown(kv.second, SHUT_RDWR);
+        all.swap(threads_);
+        finished_.clear();
+    }
+    for (auto &kv : all)
+        kv.second.join();
+}
+
+std::size_t
+ConnectionSet::unjoined() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return threads_.size();
+}
+
 // --- Request / response JSON ------------------------------------------
 
 std::string
@@ -396,7 +451,7 @@ Server::stop()
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (!running_ && listenFd_ < 0 && connThreads_.empty())
+        if (!running_ && listenFd_ < 0)
             return;
         running_ = false;
         if (listenFd_ >= 0) {
@@ -406,19 +461,10 @@ Server::stop()
             ::close(listenFd_);
             listenFd_ = -1;
         }
-        for (int fd : liveFds_)
-            ::shutdown(fd, SHUT_RDWR);
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    std::vector<std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        conns.swap(connThreads_);
-    }
-    for (std::thread &t : conns)
-        if (t.joinable())
-            t.join();
+    conns_.closeAll();
     ::unlink(cfg_.socketPath.c_str());
 }
 
@@ -439,14 +485,7 @@ Server::acceptLoop()
                 continue;
             return; // listen socket shut down (stop) or broken
         }
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!running_) {
-            ::close(fd);
-            return;
-        }
-        liveFds_.push_back(fd);
-        connThreads_.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        conns_.spawn(fd, [this](int cfd) { serveConnection(cfd); });
     }
 }
 
@@ -490,15 +529,6 @@ Server::serveConnection(int fd)
         }
         if (!sendFrame(fd, buildShardResponse(resp)))
             break;
-    }
-    ::close(fd);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (std::size_t i = 0; i < liveFds_.size(); ++i) {
-        if (liveFds_[i] == fd) {
-            liveFds_[i] = liveFds_.back();
-            liveFds_.pop_back();
-            break;
-        }
     }
 }
 

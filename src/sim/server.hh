@@ -51,6 +51,8 @@
 #define QRAMSIM_SIM_SERVER_HH
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -86,6 +88,47 @@ bool recvFrame(int fd, std::string &payload, std::uint32_t maxBytes,
 /** Connect to a Unix-domain stream socket. Returns the fd or -1 with
  *  the reason in @p err. */
 int connectUnix(const std::string &path, std::string *err = nullptr);
+
+// --- Connection threads ------------------------------------------------
+
+/**
+ * The per-connection threads of a socket service (the Server and the
+ * broker). Each accepted fd is served on its own thread, which closes
+ * the fd when @p serve returns. A thread that has finished is joined
+ * by the next spawn() — so a service answering N short-lived
+ * connections holds O(1) unjoined threads, not N — and closeAll()
+ * joins the rest.
+ */
+class ConnectionSet
+{
+  public:
+    ConnectionSet() = default;
+    ~ConnectionSet() { closeAll(); }
+
+    ConnectionSet(const ConnectionSet &) = delete;
+    ConnectionSet &operator=(const ConnectionSet &) = delete;
+
+    /** Serve @p fd on a new thread; first joins every thread that
+     *  finished since the last call. */
+    void spawn(int fd, std::function<void(int)> serve);
+
+    /**
+     * shutdown() every live connection (unblocking its thread's
+     * recv) and join every thread. The caller must have stopped
+     * calling spawn() (joined its accept loop) first.
+     */
+    void closeAll();
+
+    /** Threads started and not yet joined, live or finished. */
+    std::size_t unjoined() const;
+
+  private:
+    mutable std::mutex mu_;
+    std::uint64_t nextId_ = 0;
+    std::map<std::uint64_t, std::thread> threads_;
+    std::map<std::uint64_t, int> liveFds_;
+    std::vector<std::uint64_t> finished_;
+};
 
 // --- Request / response JSON ------------------------------------------
 
@@ -188,6 +231,9 @@ class Server
 
     const ServerConfig &config() const { return cfg_; }
 
+    /** Connection threads not yet joined (ConnectionSet::unjoined). */
+    std::size_t connectionThreads() const { return conns_.unjoined(); }
+
   private:
     void acceptLoop();
     void serveConnection(int fd);
@@ -202,8 +248,7 @@ class Server
     int listenFd_ = -1;
     bool running_ = false;
     std::thread acceptThread_;
-    std::vector<int> liveFds_;
-    std::vector<std::thread> connThreads_;
+    ConnectionSet conns_;
 };
 
 } // namespace srv

@@ -7,7 +7,9 @@
  * machine (submit/pull/commit/poll/fetch, duplicate cross-checks,
  * invalid-commit requeue, permanent-failure settling, dead-worker
  * and frozen-progress lease recovery, job parking, journal replay
- * across restarts), and the kill/steal/resume matrix end to end —
+ * across restarts, long-poll pull/poll, amortized journal
+ * compaction, connection-thread reaping), and the kill/steal/resume
+ * matrix end to end —
  * every disturbed run byte-identical to the undisturbed fork/exec
  * reference.
  */
@@ -17,9 +19,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -615,16 +621,14 @@ TEST(Broker, FrozenProgressHeartbeatsLoseTheLease)
 
     // Heartbeat diligently — with progress FROZEN. The lease must
     // expire on schedule despite the liveness signal.
+    brk::Msg beat;
+    beat.type = "heartbeat";
+    beat.worker = "w1";
+    beat.lease = assign.lease;
+    beat.progress = 1; // never advances
     brk::Msg stolen;
-    bool cancelled = false;
     for (int i = 0; i < 100; ++i) {
-        brk::Msg beat;
-        beat.type = "heartbeat";
-        beat.worker = "w1";
-        beat.lease = assign.lease;
-        beat.progress = 1; // never advances
-        if (ask(b, beat).cancel)
-            cancelled = true;
+        ask(b, beat);
         stolen = ask(b, pullMsg("w2"));
         if (stolen.type == "assign")
             break;
@@ -632,7 +636,9 @@ TEST(Broker, FrozenProgressHeartbeatsLoseTheLease)
     }
     ASSERT_EQ("assign", stolen.type);
     EXPECT_EQ(assign.shard, stolen.shard);
-    EXPECT_TRUE(cancelled)
+    // Asked after the steal, not inside the loop: the expiry may land
+    // between a loop heartbeat and the pull that follows it.
+    EXPECT_EQ(1u, ask(b, beat).cancel)
         << "the stalled worker's next heartbeat learns of the "
            "revocation";
     EXPECT_GE(b.stats().leaseExpiries, 1u);
@@ -861,7 +867,9 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
     const std::string dir = tempDir("brk_compact");
     brk::BrokerConfig cfg = quickConfig();
     cfg.stateDir = dir;
-    cfg.rotateBytes = 1; // force a compaction after every append
+    // Past rotateBytes from the first append: every append that
+    // doubles the journal since the last snapshot compacts it.
+    cfg.rotateBytes = 1;
     brk::Broker a(cfg);
     ASSERT_TRUE(a.start());
     ASSERT_EQ("job", ask(a, submitMsg("fp-compact", 2)).type);
@@ -870,6 +878,7 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
         ASSERT_EQ("assign", assign.type);
         ASSERT_EQ(1u, computeAndCommit(a, assign, "w1").accepted);
     }
+    EXPECT_GE(a.stats().journalCompactions, 1u);
     a.stop();
     // The rotated journal must replay to the full finished job.
     brk::BrokerConfig rcfg = quickConfig();
@@ -885,6 +894,299 @@ TEST(Broker, JournalCompactionPreservesStateAndStaysReplayable)
     poll.type = "poll";
     poll.job = job.job;
     EXPECT_EQ(1u, ask(b, poll).complete);
+    b.stop();
+}
+
+TEST(Broker, JournalCompactionsGrowLogarithmically)
+{
+    const std::string dir = tempDir("brk_compact_log");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.stateDir = dir;
+    cfg.rotateBytes = 1024;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    // Every admission appends a line and stays in every snapshot, so
+    // a fixed-size trigger would compact on each of these appends.
+    const int kJobs = 256;
+    for (int i = 0; i < kJobs; ++i) {
+        const std::string fp = "fp-log-" + std::to_string(i);
+        ASSERT_EQ("job", ask(b, submitMsg(fp.c_str(), 1)).type);
+    }
+    const std::uint64_t compactions = b.stats().journalCompactions;
+    const std::size_t bytes =
+        readFileStr(brk::Broker::journalPath(dir)).size();
+    b.stop();
+    EXPECT_GE(compactions, 1u);
+    // Each compaction needs the journal to double: at most
+    // log2(final size / rotateBytes) of them, plus the first.
+    EXPECT_LE(static_cast<double>(compactions),
+              std::log2(static_cast<double>(bytes) / 1024.0) + 1.0)
+        << bytes << " journal bytes";
+
+    brk::BrokerConfig rcfg = quickConfig();
+    rcfg.stateDir = dir;
+    rcfg.resume = true;
+    brk::Broker r(rcfg);
+    std::string err;
+    ASSERT_TRUE(r.start(&err)) << err;
+    EXPECT_EQ(0u, r.stats().journalDroppedEntries);
+    r.stop();
+}
+
+TEST(Broker, RunningMedianMatchesTheSortedHistory)
+{
+    // The lease duration and steal threshold read the cached median;
+    // it must equal the sorted[n / 2] of the whole history exactly.
+    std::mt19937_64 rng(2023);
+    std::uniform_int_distribution<int> pick(0, 40);
+    brk::RunningMedian med;
+    std::vector<double> all;
+    for (int i = 0; i < 500; ++i) {
+        const double v = 0.01 * pick(rng); // many exact ties
+        med.add(v);
+        all.push_back(v);
+        std::vector<double> sorted(all);
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted.size(), med.size());
+        ASSERT_EQ(sorted[sorted.size() / 2], med.median()) << i;
+    }
+}
+
+// --- Long polls --------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** A broker whose long polls may wait up to @p capSec. */
+brk::BrokerConfig
+longPollConfig(double capSec)
+{
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.heartbeatSec = capSec;
+    cfg.workerDeadSec = 10.0 * capSec;
+    return cfg;
+}
+
+brk::Msg
+waitingPull(const char *worker, double budget)
+{
+    brk::Msg m = pullMsg(worker);
+    m.pollSec = budget;
+    return m;
+}
+
+TEST(Broker, BlockedPullReturnsAssignWhenAJobArrives)
+{
+    brk::Broker b(longPollConfig(5.0));
+    ASSERT_TRUE(b.start());
+    const Clock::time_point t0 = Clock::now();
+    auto pulled = std::async(std::launch::async, [&] {
+        return ask(b, waitingPull("w1", 5.0));
+    });
+    sleepMs(100);
+    ASSERT_EQ("job", ask(b, submitMsg("fp-wake-pull", 1)).type);
+    const brk::Msg task = pulled.get();
+    const double waited = secondsSince(t0);
+    EXPECT_EQ("assign", task.type);
+    EXPECT_GE(waited, 0.09) << "the pull answered before the job existed";
+    EXPECT_LT(waited, 2.0) << "the submit must wake the waiting pull";
+    b.stop();
+}
+
+TEST(Broker, BlockedPollReturnsWhenACommitLands)
+{
+    brk::Broker b(longPollConfig(5.0));
+    ASSERT_TRUE(b.start());
+    const brk::Msg job = ask(b, submitMsg("fp-wake-poll", 2));
+    ASSERT_EQ("job", job.type);
+    const brk::Msg assign = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", assign.type);
+
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    poll.pollSec = 5.0; // nothing seen yet: done = failed = []
+    const Clock::time_point t0 = Clock::now();
+    auto polled =
+        std::async(std::launch::async, [&] { return ask(b, poll); });
+    sleepMs(100);
+    ASSERT_EQ(1u, computeAndCommit(b, assign, "w1").accepted);
+    const brk::Msg st = polled.get();
+    const double waited = secondsSince(t0);
+    ASSERT_EQ("status", st.type);
+    ASSERT_EQ(1u, st.done.size());
+    EXPECT_EQ(static_cast<double>(assign.shard), st.done[0]);
+    EXPECT_EQ(0u, st.complete);
+    EXPECT_GE(waited, 0.09);
+    EXPECT_LT(waited, 2.0) << "the commit must wake the waiting poll";
+
+    // A poll that has seen that commit waits again; one that has
+    // not answers at once.
+    poll.pollSec = 0.0;
+    EXPECT_EQ(1u, ask(b, poll).done.size());
+    b.stop();
+}
+
+TEST(Broker, LongPollBudgetRunsOutWithIdleOrUnchangedStatus)
+{
+    brk::Broker b(longPollConfig(0.2));
+    ASSERT_TRUE(b.start());
+    // The broker caps a 30 s budget at its 0.2 s heartbeat.
+    Clock::time_point t0 = Clock::now();
+    EXPECT_EQ("idle", ask(b, waitingPull("w1", 30.0)).type);
+    double waited = secondsSince(t0);
+    EXPECT_GE(waited, 0.18);
+    EXPECT_LT(waited, 2.0) << "the budget must be capped";
+
+    const brk::Msg job = ask(b, submitMsg("fp-budget", 1));
+    ASSERT_EQ("job", job.type);
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    poll.pollSec = 30.0;
+    t0 = Clock::now();
+    const brk::Msg st = ask(b, poll);
+    waited = secondsSince(t0);
+    ASSERT_EQ("status", st.type);
+    EXPECT_TRUE(st.done.empty());
+    EXPECT_TRUE(st.failed.empty());
+    EXPECT_EQ(0u, st.complete);
+    EXPECT_GE(waited, 0.18);
+    EXPECT_LT(waited, 2.0);
+
+    // Budget 0 is the immediate answer every in-process caller uses.
+    t0 = Clock::now();
+    poll.pollSec = 0.0;
+    EXPECT_EQ("status", ask(b, poll).type);
+    EXPECT_LT(secondsSince(t0), 0.1);
+    b.stop();
+}
+
+TEST(Broker, BlockedPullStealsOnceTheStragglerThresholdPasses)
+{
+    brk::BrokerConfig cfg = longPollConfig(5.0);
+    cfg.stragglerFactor = 1.5;
+    cfg.stragglerMinDone = 1;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    ASSERT_EQ("job", ask(b, submitMsg("fp-wait-steal", 2)).type);
+    const brk::Msg a = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", a.type);
+    ASSERT_EQ(1u, computeAndCommit(b, a, "w1").accepted);
+    const brk::Msg stuck = ask(b, pullMsg("w2"));
+    ASSERT_EQ("assign", stuck.type);
+    // Nothing is queued and no event will come: the waiting pull
+    // must wake by itself when w2's lease turns stealable.
+    const Clock::time_point t0 = Clock::now();
+    const brk::Msg spec = ask(b, waitingPull("w1", 5.0));
+    ASSERT_EQ("assign", spec.type);
+    EXPECT_EQ(stuck.shard, spec.shard);
+    EXPECT_LT(secondsSince(t0), 2.0);
+    EXPECT_EQ(1u, b.stats().speculativeAssignments);
+    b.stop();
+}
+
+TEST(Broker, StopWakesEveryWaiter)
+{
+    brk::Broker b(longPollConfig(30.0));
+    ASSERT_TRUE(b.start());
+    const brk::Msg job = ask(b, submitMsg("fp-stop", 1));
+    ASSERT_EQ("job", job.type);
+    ASSERT_EQ("assign", ask(b, pullMsg("w0")).type); // queue now empty
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = job.job;
+    poll.pollSec = 30.0;
+    auto pulled = std::async(std::launch::async, [&] {
+        return ask(b, waitingPull("w1", 30.0));
+    });
+    auto polled =
+        std::async(std::launch::async, [&] { return ask(b, poll); });
+    sleepMs(100);
+    const Clock::time_point t0 = Clock::now();
+    b.stop();
+    EXPECT_EQ("idle", pulled.get().type);
+    EXPECT_EQ("status", polled.get().type);
+    EXPECT_LT(secondsSince(t0), 2.0) << "stop() must wake the waiters";
+}
+
+TEST(Broker, BlockedPullIsNotADeadWorker)
+{
+    // A pull may wait longer than the dead-worker deadline itself:
+    // the wait touches the worker on every wake, so the worker
+    // holding a lease while it long-polls for more work stays alive.
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.heartbeatSec = 0.4;
+    cfg.workerDeadSec = 0.1;
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    ASSERT_EQ("job", ask(b, submitMsg("fp-alive", 1)).type);
+    const brk::Msg held = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", held.type);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ("idle", ask(b, waitingPull("w1", 0.4)).type);
+    EXPECT_EQ(0u, b.stats().deadWorkers);
+    EXPECT_EQ(0u, b.stats().redispatches);
+    brk::Msg beat;
+    beat.type = "heartbeat";
+    beat.worker = "w1";
+    beat.lease = held.lease;
+    beat.progress = 1;
+    EXPECT_EQ(0u, ask(b, beat).cancel)
+        << "the lease must have survived the waits";
+    b.stop();
+}
+
+TEST(Broker, SocketRoundTripsReapTheirConnectionThreads)
+{
+    const std::string dir = tempDir("brk_reap");
+    brk::BrokerConfig cfg = quickConfig();
+    cfg.socketPath = dir + "/b.sock";
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    const int kTrips = 64;
+    for (int i = 0; i < kTrips; ++i) {
+        brk::Msg req, resp;
+        req.type = "register";
+        req.worker = "w1";
+        std::string err;
+        ASSERT_TRUE(brk::roundTrip(cfg.socketPath, req, resp, &err))
+            << err;
+        ASSERT_EQ("registered", resp.type);
+    }
+    // Each accept joins the threads that finished before it: what is
+    // left is the last few connections, not one thread per trip.
+    EXPECT_LE(b.connectionThreads(), 8u);
+    b.stop();
+    EXPECT_EQ(0u, b.connectionThreads());
+}
+
+TEST(Broker, AbandonedPullTakesNoShard)
+{
+    // A worker stopped mid-wait hangs up its pull; the waiting
+    // request must not lease the next shard to nobody.
+    const std::string dir = tempDir("brk_hangup");
+    brk::BrokerConfig cfg = longPollConfig(5.0);
+    cfg.socketPath = dir + "/b.sock";
+    brk::Broker b(cfg);
+    ASSERT_TRUE(b.start());
+    std::string err;
+    const int fd = srv::connectUnix(cfg.socketPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    ASSERT_TRUE(
+        srv::sendFrame(fd, brk::buildMsg(waitingPull("ghost", 5.0))));
+    sleepMs(100);
+    ::close(fd);
+    sleepMs(100);
+    ASSERT_EQ("job", ask(b, submitMsg("fp-ghost", 1)).type);
+    const brk::Msg task = ask(b, pullMsg("w1"));
+    ASSERT_EQ("assign", task.type) << "the shard went to the ghost";
+    EXPECT_EQ(1u, b.stats().assignments);
     b.stop();
 }
 

@@ -621,6 +621,40 @@ TEST(Server, HandleCacheLadderAndRejections)
     EXPECT_EQ(3u, st.usageErrors);
 }
 
+TEST(Server, SocketRoundTripsReapTheirConnectionThreads)
+{
+    const std::string dir = tempDir("srv_reap");
+    srv::ServerConfig cfg;
+    cfg.threads = 1;
+    cfg.socketPath = dir + "/s.sock";
+    srv::Server server(cfg);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    const int kTrips = 64;
+    for (int i = 0; i < kTrips; ++i) {
+        const int fd = srv::connectUnix(cfg.socketPath, &err);
+        ASSERT_GE(fd, 0) << err;
+        std::string frame;
+        ASSERT_TRUE(srv::sendFrame(
+            fd, srv::buildShardRequest({"--arch", "nope"}), &err))
+            << err;
+        ASSERT_TRUE(srv::recvFrame(fd, frame,
+                                   srv::kDefaultMaxFrameBytes, &err))
+            << err;
+        ::close(fd);
+        srv::ShardResponse resp;
+        ASSERT_TRUE(srv::parseShardResponse(frame, resp, &err)) << err;
+        EXPECT_EQ(2, resp.status);
+    }
+    // Each accept joins the threads that finished before it: what is
+    // left is the last few connections, not one thread per trip.
+    EXPECT_LE(server.connectionThreads(), 8u);
+    server.stop();
+    EXPECT_EQ(0u, server.connectionThreads());
+    EXPECT_EQ(static_cast<std::uint64_t>(kTrips),
+              server.stats().usageErrors);
+}
+
 // --- The socket transport end to end -----------------------------------
 
 #if defined(QRAMSIM_SHARD_BIN) && defined(QRAMSIM_DRIVE_BIN) && \

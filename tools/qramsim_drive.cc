@@ -39,9 +39,12 @@
  *                     broker does not deliver (it dies, stalls, or
  *                     parks) is recomputed through the normal
  *                     --server / fork-exec ladder, so the result is
- *                     byte-identical either way. A dead drive can
- *                     rerun the same command line: the matching
- *                     workload fingerprint resumes the parked job.
+ *                     byte-identical either way. A broker lost
+ *                     mid-job is re-polled for 2 s first, so a
+ *                     broker restarted with --resume rides through.
+ *                     A dead drive can rerun the same command line:
+ *                     the matching workload fingerprint resumes the
+ *                     parked job.
  *   --broker-stall S  give up on the broker when no new result has
  *                     arrived for S seconds (default 60)
  *   --max-attempts N  dispatch attempts per shard (default 3)
@@ -108,6 +111,10 @@ usage()
         "see the file header of tools/qramsim_drive.cc\n");
     return kToolExitUsage;
 }
+
+/** How long the broker phase keeps reconnecting after losing the
+ *  broker mid-job before it falls back to direct dispatch. */
+constexpr double kBrokerOutageSec = 2.0;
 
 bool
 makeDirs(const std::string &path)
@@ -202,16 +209,39 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
 
     std::vector<bool> fetched(cfg.plan.shards.size(), false);
     auto lastProgress = std::chrono::steady_clock::now();
+    auto lastContact = lastProgress;
+    // Long poll: the broker holds each poll until the done/failed
+    // sets differ from the ones last seen here (sent back with the
+    // poll), or the wait budget (which it caps) runs out.
+    brk::Msg poll;
+    poll.type = "poll";
+    poll.job = jobResp.job;
+    poll.pollSec = 1.0;
     for (;;) {
-        brk::Msg poll, st;
-        poll.type = "poll";
-        poll.job = jobResp.job;
-        if (!brk::roundTrip(brokerPath, poll, st, &err) ||
-            st.type != "status") {
-            transportFail(st.type.empty() ? err : st.error);
+        brk::Msg st;
+        if (!brk::roundTrip(brokerPath, poll, st, &err)) {
+            // A killed broker drops the held poll, and one restarted
+            // with --resume is back moments later: ride out a short
+            // outage, then fall back.
+            if (std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - lastContact)
+                    .count() > kBrokerOutageSec) {
+                transportFail(err);
+                break;
+            }
+            poll.done.clear(); // re-learn the whole state at once
+            poll.failed.clear();
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            continue;
+        }
+        if (st.type != "status") {
+            transportFail(st.error);
             break;
         }
-        bool progress = false, transportDown = false;
+        lastContact = std::chrono::steady_clock::now();
+        poll.done = st.done;
+        poll.failed = st.failed;
+        bool progress = false;
         for (double d : st.done) {
             const std::size_t idx = static_cast<std::size_t>(d);
             if (idx >= fetched.size() || fetched[idx])
@@ -221,8 +251,7 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
             get.job = jobResp.job;
             get.shard = idx;
             if (!brk::roundTrip(brokerPath, get, res, &err)) {
-                transportFail(err);
-                transportDown = true;
+                poll.done.clear(); // the next poll answers at once
                 break;
             }
             if (res.type != "result")
@@ -238,8 +267,6 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
                 std::fprintf(stderr, "warning: %s\n", werr.c_str());
             }
         }
-        if (transportDown)
-            break;
         const auto now = std::chrono::steady_clock::now();
         if (progress)
             lastProgress = now;
@@ -260,8 +287,6 @@ runBrokerPhase(OrchestratorConfig &cfg, const tool::RunOptions &opt,
                          stallSec);
             break;
         }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(50));
     }
     // Whatever landed is a checkpoint; resume makes the orchestrator
     // trust (re-validate) it and compute only the remainder.

@@ -32,12 +32,12 @@
  * reached.
  */
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include <signal.h>
@@ -68,27 +68,73 @@ usage()
     return 2;
 }
 
-/** Sleep @p seconds in small slices so @p stop stays responsive. */
-void
-sleepInterruptible(double seconds, const std::atomic<bool> &stop)
+/**
+ * A stop flag that sleepers wait on: set() wakes every waitFor() at
+ * once and turns fd() readable, which abandons a long poll blocked
+ * in brk::roundTrip.
+ */
+class StopFlag
 {
-    auto left = std::chrono::duration<double>(seconds);
-    while (left.count() > 0.0 && !stop.load()) {
-        const auto slice =
-            std::min(left, std::chrono::duration<double>(0.05));
-        std::this_thread::sleep_for(slice);
-        left -= slice;
+  public:
+    StopFlag()
+    {
+        if (::pipe(pipe_) != 0)
+            pipe_[0] = pipe_[1] = -1;
     }
-}
+    ~StopFlag()
+    {
+        for (int fd : pipe_)
+            if (fd >= 0)
+                ::close(fd);
+    }
+    StopFlag(const StopFlag &) = delete;
+    StopFlag &operator=(const StopFlag &) = delete;
+
+    void set()
+    {
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            if (stopped_)
+                return;
+            stopped_ = true;
+        }
+        cv_.notify_all();
+        if (pipe_[1] >= 0)
+            (void)!::write(pipe_[1], "x", 1);
+    }
+
+    bool isSet() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return stopped_;
+    }
+
+    /** Sleep up to @p seconds; true as soon as the flag is set. */
+    bool waitFor(double seconds)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        return cv_.wait_for(lk, std::chrono::duration<double>(seconds),
+                            [this] { return stopped_; });
+    }
+
+    int fd() const { return pipe_[0]; }
+
+  private:
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    bool stopped_ = false;
+    int pipe_[2];
+};
 
 /**
- * The broker worker loop: register, pull, execute on the resident
- * @p server, heartbeat the lease while computing, commit. Runs until
- * @p stop. Returns the count of shards this worker committed.
+ * The broker worker loop: register, long-poll for a shard, execute
+ * on the resident @p server, heartbeat the lease while computing,
+ * commit. Runs until @p stop. Returns the count of shards this
+ * worker committed.
  */
 std::size_t
 runWorker(srv::Server &server, const std::string &brokerPath,
-          const std::string &name, const std::atomic<bool> &stop)
+          const std::string &name, StopFlag &stop)
 {
     // Worker-side fault kinds only: the broker owns journal-truncate
     // and the classic shard kinds belong to qramsim_shard.
@@ -99,9 +145,9 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             s.kind == fault::Kind::LeaseStall)
             faults.push_back(s);
 
-    double heartbeatSec = 1.0, pollSec = 0.05;
+    double heartbeatSec = 1.0, waitSec = 1.0;
     bool registered = false;
-    while (!stop.load()) {
+    while (!stop.isSet()) {
         brk::Msg req, resp;
         req.type = "register";
         req.worker = name;
@@ -110,12 +156,12 @@ runWorker(srv::Server &server, const std::string &brokerPath,
             resp.type == "registered") {
             if (resp.heartbeatSec > 0.0)
                 heartbeatSec = resp.heartbeatSec;
-            if (resp.pollSec > 0.0)
-                pollSec = resp.pollSec;
+            // The longest wait the broker grants a pull.
+            waitSec = resp.pollSec > 0.0 ? resp.pollSec : heartbeatSec;
             registered = true;
             break;
         }
-        sleepInterruptible(0.2, stop);
+        stop.waitFor(0.2);
     }
     if (!registered)
         return 0;
@@ -124,20 +170,20 @@ runWorker(srv::Server &server, const std::string &brokerPath,
     std::fflush(stdout);
 
     std::size_t committed = 0;
-    while (!stop.load()) {
+    while (!stop.isSet()) {
         brk::Msg pull, task;
         pull.type = "pull";
         pull.worker = name;
+        pull.pollSec = waitSec;
         std::string err;
-        if (!brk::roundTrip(brokerPath, pull, task, &err)) {
-            sleepInterruptible(0.2, stop); // broker gone or restarting
+        // The broker holds the pull until a shard is ready; a stop
+        // abandons the wait at once.
+        if (!brk::roundTrip(brokerPath, pull, task, &err, stop.fd())) {
+            stop.waitFor(0.2); // broker gone or restarting
             continue;
         }
-        if (task.type != "assign") {
-            sleepInterruptible(
-                task.pollSec > 0.0 ? task.pollSec : pollSec, stop);
-            continue;
-        }
+        if (task.type != "assign")
+            continue; // the wait ran out: ask again
 
         // Scope faults to the pulled shard's global shot range —
         // the same selector the shard CLI uses, so a test can aim a
@@ -172,13 +218,13 @@ runWorker(srv::Server &server, const std::string &brokerPath,
                 ? armed->param
                 : 0.0;
 
-        std::atomic<bool> hbStop{false};
+        StopFlag hbStop;
         std::thread hb;
         if (!dropHeartbeat) {
             const std::uint64_t lease = task.lease;
             hb = std::thread([&, lease] {
                 std::uint64_t progress = 0;
-                while (!hbStop.load()) {
+                do {
                     // lease-stall heartbeats with FROZEN progress:
                     // the broker sees a live worker but no advance,
                     // so the lease expires on schedule.
@@ -190,12 +236,11 @@ runWorker(srv::Server &server, const std::string &brokerPath,
                     beat.lease = lease;
                     beat.progress = progress;
                     brk::roundTrip(brokerPath, beat, ok);
-                    sleepInterruptible(heartbeatSec, hbStop);
-                }
+                } while (!hbStop.waitFor(heartbeatSec));
             });
         }
         if (stallSec > 0.0)
-            sleepInterruptible(stallSec, stop);
+            stop.waitFor(stallSec);
 
         const srv::ShardResponse r = server.handle(task.args);
 
@@ -214,11 +259,10 @@ runWorker(srv::Server &server, const std::string &brokerPath,
                 ++committed;
                 break;
             }
-            sleepInterruptible(0.2, stop);
-            if (stop.load())
+            if (stop.waitFor(0.2))
                 break;
         }
-        hbStop.store(true);
+        hbStop.set();
         if (hb.joinable())
             hb.join();
     }
@@ -342,19 +386,20 @@ main(int argc, char **argv)
 
     if (!brokerPath.empty()) {
         // Broker worker: the Server runs headless (no socket); a
-        // signal thread turns SIGINT/SIGTERM into a stop flag the
-        // pull loop polls between shards.
+        // signal thread turns SIGINT/SIGTERM into a stop flag that
+        // ends the pull loop's waits at once (a shard in compute
+        // still finishes and commits).
         if (workerName.empty())
             workerName = "w" + std::to_string(::getpid());
-        std::atomic<bool> stop{false};
+        StopFlag stop;
         std::thread sigThread([&] {
             int sig = 0;
             sigwait(&set, &sig);
-            stop.store(true);
+            stop.set();
         });
         const std::size_t committed =
             runWorker(server, brokerPath, workerName, stop);
-        if (!stop.load())
+        if (!stop.isSet())
             ::kill(::getpid(), SIGTERM); // unblock sigwait
         sigThread.join();
         const srv::Server::Stats st = server.stats();
