@@ -15,7 +15,9 @@
  * the block kernels over a fused EnsembleBlock arena (16 shots' rows
  * back to back — the op-major replay layout), normalized to the same
  * per-shot-row unit so the contiguity win is read directly off the
- * record (block_*_rows_per_sec).
+ * record (block_*_rows_per_sec), and the noise samplers' counter-stream
+ * site filter over a schedule-sized cut row at a physical rate
+ * (counter_sites_per_sec: SplitMix64 draws tested per second).
  *
  * The record also carries a replay-batch width sweep: estimator
  * shots/sec on a bucket-brigade m=M depolarizing workload (general
@@ -29,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/pathensemble.hh"
@@ -120,6 +123,13 @@ main(int argc, char **argv)
     const EnsembleCtrl ctrls[2] = {{2, 0}, {3, ~std::uint64_t(0)}};
     simd::AlignedWords dev(nw, 0);
     std::uint64_t sink = 0;
+
+    // Site-filter input: one cut row the size of a bucket-brigade m=8
+    // schedule's draw sites, at a weighted gate-depolarizing 1e-3
+    // any-event threshold.
+    constexpr std::size_t kSites = 8192;
+    const std::vector<std::uint64_t> siteCuts(kSites,
+                                              CounterRng::cutFor(6e-3));
 
     std::printf("qramsim kernel bench | %zu paths, %zu-word rows\n",
                 paths, nw);
@@ -221,10 +231,27 @@ main(int argc, char **argv)
             },
             budgetSec, repeats);
 
+        // One "iter" is one site draw tested against its cut, in the
+        // 64-site blocks the samplers hand the kernel.
+        const double sites = kSites * itersPerSecond(
+            [&](std::size_t n) {
+                CounterRng r(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t b = 0; b < kSites; b += 64) {
+                        sink ^= K.counterSiteMask(r.counter(),
+                                                  siteCuts.data() + b,
+                                                  64);
+                        r.advance(64);
+                    }
+                }
+            },
+            budgetSec, repeats);
+
         std::printf("  %-6s xor_fire %.3g  swap_fire %.3g  "
-                    "xor_row %.3g  diff_or %.3g rows/s\n",
+                    "xor_row %.3g  diff_or %.3g rows/s  "
+                    "site filter %.3g sites/s\n",
                     simd::tierName(tier), xorFire, swapFire, xorRow,
-                    diffOr);
+                    diffOr, sites);
         std::printf("         block(%zu): xor_fire %.3g  "
                     "swap_fire %.3g  xor_row %.3g  diff_or %.3g "
                     "rows/s\n",
@@ -243,12 +270,13 @@ main(int argc, char **argv)
                       "        \"block_rows_per_sec\": %.6g,\n"
                       "        \"block_swap_fire_rows_per_sec\": %.6g,\n"
                       "        \"block_xor_row_rows_per_sec\": %.6g,\n"
-                      "        \"block_diff_or_rows_per_sec\": %.6g\n"
+                      "        \"block_diff_or_rows_per_sec\": %.6g,\n"
+                      "        \"counter_sites_per_sec\": %.6g\n"
                       "      }",
                       tiersJson.empty() ? "" : ",\n",
                       simd::tierName(tier), xorFire, swapFire, xorRow,
                       diffOr, kBlockShots, xorFireB, swapFireB,
-                      xorRowB, diffOrB);
+                      xorRowB, diffOrB, sites);
         tiersJson += buf;
     }
     if (sink == 0xdeadbeefdeadbeefull) // defeat dead-code elimination

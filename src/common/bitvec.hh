@@ -185,12 +185,16 @@ class BitVec
     bool operator!=(const BitVec &o) const { return !(*this == o); }
 
     /** FNV-style hash over the word array. */
-    std::size_t
-    hash() const
+    std::size_t hash() const { return hashWords(words.data(), words.size()); }
+
+    /** hash() of a vector whose words are @p w[0..nw) (raw word
+     *  buffers keyed like BitVecs). */
+    static std::size_t
+    hashWords(const std::uint64_t *w, std::size_t nw)
     {
         std::size_t h = 1469598103934665603ull;
-        for (auto w : words) {
-            h ^= static_cast<std::size_t>(w);
+        for (std::size_t i = 0; i < nw; ++i) {
+            h ^= static_cast<std::size_t>(w[i]);
             h *= 1099511628211ull;
         }
         return h;

@@ -112,7 +112,7 @@ class CounterRng
 {
   public:
     explicit CounterRng(std::uint64_t key, std::uint64_t stream = 0)
-        : state(mix(key + 0x9e3779b97f4a7c15ull * stream))
+        : state(mix(key + kGamma * stream))
     {}
 
     /** The uniform() mapping applied to one raw output (monotone
@@ -152,19 +152,48 @@ class CounterRng
     /** Raw 64 random bits. */
     std::uint64_t bits() { return next(); }
 
-  private:
+    /// @name Counter access (batched site filters, common/simd.hh)
+    ///
+    /// The output of step i (i >= 1) after counter value c is
+    /// outputAt(c, i), so a filter can evaluate a run of steps from
+    /// counter() alone and then advance() past them — leaving the
+    /// stream exactly where as many bits() calls would.
+    /// @{
+
+    /** Counter increment per step (the SplitMix64 gamma). */
+    static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ull;
+
+    /** Multipliers of the SplitMix64 finalizer. */
+    static constexpr std::uint64_t kMix1 = 0xbf58476d1ce4e5b9ull;
+    static constexpr std::uint64_t kMix2 = 0x94d049bb133111ebull;
+
     static std::uint64_t
     mix(std::uint64_t x)
     {
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        x = (x ^ (x >> 30)) * kMix1;
+        x = (x ^ (x >> 27)) * kMix2;
         return x ^ (x >> 31);
     }
 
+    /** The raw output @p step steps after counter value @p ctr. */
+    static std::uint64_t
+    outputAt(std::uint64_t ctr, std::uint64_t step)
+    {
+        return mix(ctr + step * kGamma);
+    }
+
+    std::uint64_t counter() const { return state; }
+
+    /** Skip @p steps outputs. */
+    void advance(std::uint64_t steps) { state += steps * kGamma; }
+
+    /// @}
+
+  private:
     std::uint64_t
     next()
     {
-        state += 0x9e3779b97f4a7c15ull;
+        state += kGamma;
         return mix(state);
     }
 

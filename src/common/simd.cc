@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QRAMSIM_SIMD_X86 1
@@ -155,10 +156,22 @@ diffOrBlockScalar(std::uint64_t *dev, const std::uint64_t *a,
     }
 }
 
+std::uint64_t
+counterSiteMaskScalar(std::uint64_t ctr, const std::uint64_t *cut,
+                      std::size_t n)
+{
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        mask |= std::uint64_t(CounterRng::outputAt(ctr, i + 1) <= cut[i])
+                << i;
+    return mask;
+}
+
 constexpr RowKernels kScalar = {xorFireScalar,      swapFireScalar,
                                 xorRowScalar,       diffOrScalar,
                                 xorFireBlockScalar, swapFireBlockScalar,
-                                xorRowBlockScalar,  diffOrBlockScalar};
+                                xorRowBlockScalar,  diffOrBlockScalar,
+                                counterSiteMaskScalar};
 
 #ifdef QRAMSIM_SIMD_X86
 
@@ -423,10 +436,76 @@ diffOrBlockAvx2(std::uint64_t *dev, const std::uint64_t *a,
         anyOut[s] = diffOrAvx2(dev, a, b, pw);
 }
 
+// The counter-stream site filter needs the low 64 bits of a 64x64
+// multiply per lane, which AVX2 (and AVX-512F without DQ) only has
+// as 32x32->64 vpmuludq: lo(a)lo(b) + ((hi(a)lo(b) + lo(a)hi(b)) << 32)
+// modulo 2^64 is exactly the wrapped product.
+
+__attribute__((target("avx2"))) inline __m256i
+mulConstAvx2(__m256i a, std::uint64_t b)
+{
+    const __m256i blo = _mm256_set1_epi64x(
+        static_cast<long long>(b & 0xffffffffull));
+    const __m256i bhi = _mm256_set1_epi64x(
+        static_cast<long long>(b >> 32));
+    const __m256i cross =
+        _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), blo),
+                         _mm256_mul_epu32(a, bhi));
+    return _mm256_add_epi64(_mm256_mul_epu32(a, blo),
+                            _mm256_slli_epi64(cross, 32));
+}
+
+__attribute__((target("avx2"))) inline __m256i
+splitMixAvx2(__m256i x)
+{
+    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
+    x = mulConstAvx2(x, CounterRng::kMix1);
+    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
+    x = mulConstAvx2(x, CounterRng::kMix2);
+    return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+}
+
+__attribute__((target("avx2"))) std::uint64_t
+counterSiteMaskAvx2(std::uint64_t ctr, const std::uint64_t *cut,
+                    std::size_t n)
+{
+    constexpr std::uint64_t g = CounterRng::kGamma;
+    // AVX2 compares signed: flipping both sign bits orders unsigned.
+    const __m256i sign = _mm256_set1_epi64x(
+        static_cast<long long>(std::uint64_t(1) << 63));
+    const __m256i step = _mm256_set1_epi64x(
+        static_cast<long long>(4 * g));
+    __m256i c = _mm256_set_epi64x(static_cast<long long>(ctr + 4 * g),
+                                  static_cast<long long>(ctr + 3 * g),
+                                  static_cast<long long>(ctr + 2 * g),
+                                  static_cast<long long>(ctr + g));
+    std::uint64_t mask = 0;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i r = splitMixAvx2(c);
+        const __m256i k = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(cut + i));
+        const __m256i gt =
+            _mm256_cmpgt_epi64(_mm256_xor_si256(r, sign),
+                               _mm256_xor_si256(k, sign));
+        const unsigned le =
+            ~static_cast<unsigned>(
+                _mm256_movemask_pd(_mm256_castsi256_pd(gt))) &
+            0xfu;
+        mask |= std::uint64_t(le) << i;
+        c = _mm256_add_epi64(c, step);
+    }
+    for (; i < n; ++i)
+        mask |= std::uint64_t(CounterRng::outputAt(ctr, i + 1) <= cut[i])
+                << i;
+    return mask;
+}
+
 constexpr RowKernels kAvx2 = {xorFireAvx2,      swapFireAvx2,
                               xorRowAvx2,       diffOrAvx2,
                               xorFireBlockAvx2, swapFireBlockAvx2,
-                              xorRowBlockAvx2,  diffOrBlockAvx2};
+                              xorRowBlockAvx2,  diffOrBlockAvx2,
+                              counterSiteMaskAvx2};
 
 // ----------------------------------------------------------- AVX-512
 
@@ -635,10 +714,65 @@ diffOrBlockAvx512(std::uint64_t *dev, const std::uint64_t *a,
         anyOut[s] = diffOrAvx512(dev, a, b, pw);
 }
 
+__attribute__((target("avx512f"))) inline __m512i
+mulConstAvx512(__m512i a, std::uint64_t b)
+{
+    const __m512i blo = _mm512_set1_epi64(
+        static_cast<long long>(b & 0xffffffffull));
+    const __m512i bhi = _mm512_set1_epi64(static_cast<long long>(b >> 32));
+    const __m512i cross =
+        _mm512_add_epi64(_mm512_mul_epu32(_mm512_srli_epi64(a, 32), blo),
+                         _mm512_mul_epu32(a, bhi));
+    return _mm512_add_epi64(_mm512_mul_epu32(a, blo),
+                            _mm512_slli_epi64(cross, 32));
+}
+
+__attribute__((target("avx512f"))) inline __m512i
+splitMixAvx512(__m512i x)
+{
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 30));
+    x = mulConstAvx512(x, CounterRng::kMix1);
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
+    x = mulConstAvx512(x, CounterRng::kMix2);
+    return _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
+}
+
+__attribute__((target("avx512f"))) std::uint64_t
+counterSiteMaskAvx512(std::uint64_t ctr, const std::uint64_t *cut,
+                      std::size_t n)
+{
+    constexpr std::uint64_t g = CounterRng::kGamma;
+    const __m512i step = _mm512_set1_epi64(static_cast<long long>(8 * g));
+    __m512i c = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<long long>(ctr)),
+        _mm512_set_epi64(static_cast<long long>(8 * g),
+                         static_cast<long long>(7 * g),
+                         static_cast<long long>(6 * g),
+                         static_cast<long long>(5 * g),
+                         static_cast<long long>(4 * g),
+                         static_cast<long long>(3 * g),
+                         static_cast<long long>(2 * g),
+                         static_cast<long long>(g)));
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < n; i += 8) {
+        // The tail step loads (and compares) only the live lanes.
+        const __mmask8 live = n - i >= 8
+                                  ? __mmask8(0xff)
+                                  : __mmask8((1u << (n - i)) - 1);
+        const __m512i k = _mm512_maskz_loadu_epi64(live, cut + i);
+        const __mmask8 le =
+            _mm512_mask_cmple_epu64_mask(live, splitMixAvx512(c), k);
+        mask |= std::uint64_t(le) << i;
+        c = _mm512_add_epi64(c, step);
+    }
+    return mask;
+}
+
 constexpr RowKernels kAvx512 = {xorFireAvx512,      swapFireAvx512,
                                 xorRowAvx512,       diffOrAvx512,
                                 xorFireBlockAvx512, swapFireBlockAvx512,
-                                xorRowBlockAvx512,  diffOrBlockAvx512};
+                                xorRowBlockAvx512,  diffOrBlockAvx512,
+                                counterSiteMaskAvx512};
 
 #endif // QRAMSIM_SIMD_X86
 

@@ -8,6 +8,7 @@
  * bit-across-paths rows (common/pathensemble.hh). Those sweeps are
  * expressed here as four row kernels plus their four block twins
  * (op-major sweeps over the fused multi-shot EnsembleBlock arena),
+ * next to the noise samplers' counter-stream site filter,
  * each provided in three tiers —
  * portable scalar, AVX2 (4 words per step), AVX-512F (8 words per
  * step) — compiled with per-function target attributes so one binary
@@ -187,6 +188,19 @@ struct RowKernels
                         std::size_t n, std::uint64_t *anyOut);
 
     /// @}
+
+    /**
+     * Counter-stream site filter (the noise samplers' rejection
+     * test, sim/noise.cc): for the @p n <= 64 consecutive
+     * CounterRng steps after counter value @p ctr, returns the mask
+     * whose bit i is set iff CounterRng::outputAt(ctr, i + 1) <=
+     * cut[i]. Pure integer arithmetic — the vector tiers evaluate 4
+     * or 8 SplitMix64 outputs per step — so every tier returns the
+     * same mask.
+     */
+    std::uint64_t (*counterSiteMask)(std::uint64_t ctr,
+                                     const std::uint64_t *cut,
+                                     std::size_t n);
 };
 
 /** True if this build + CPU can execute @p t's kernels. */

@@ -9,6 +9,7 @@
 #include <deque>
 #include <limits>
 #include <thread>
+#include <unordered_map>
 
 #include "common/env.hh"
 #include "common/stats.hh"
@@ -64,8 +65,13 @@ AddressSuperposition::random(unsigned addressWidth, Rng &rng)
 /**
  * Per-shot overlap accumulator. The reduced-overlap group map is
  * created fresh per shot with the same initial capacity regardless of
- * entry point, so group iteration order — and hence floating-point
- * summation order — is reproducible.
+ * entry point, and its keys hash to BitVec::hash() of the ancilla
+ * configuration, so group iteration order — and hence floating-point
+ * summation order — is reproducible and the same as a map keyed by
+ * BitVec. Nothing is allocated per shot once the scratch has grown:
+ * an ideal path's key points at the estimator's idealAnc words, a
+ * deviating path's new key is copied into the scratch's key arena,
+ * and the map's nodes and buckets come from the scratch's pool.
  */
 struct FidelityEstimator::ShotAccumulator
 {
@@ -73,19 +79,53 @@ struct FidelityEstimator::ShotAccumulator
     {
         std::complex<double> sum{0.0, 0.0};
     };
-    struct BitVecHash
+
+    /** An ancilla configuration: its words and their hash. */
+    struct Key
     {
-        std::size_t operator()(const BitVec &b) const { return b.hash(); }
+        const std::uint64_t *words;
+        std::size_t hash;
+    };
+    struct KeyHash
+    {
+        std::size_t operator()(const Key &k) const { return k.hash; }
+    };
+    struct KeyEq
+    {
+        std::size_t nw;
+
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return std::equal(a.words, a.words + nw, b.words);
+        }
     };
 
     std::complex<double> fullOverlap{0.0, 0.0};
-    std::unordered_map<BitVec, Group, BitVecHash> groups;
+    std::pmr::unordered_map<Key, Group, KeyHash, KeyEq> groups;
+    AccumScratch &scratch;
 
-    /** Reused by ancillaPartInto so the per-path group lookups of a
-     *  shot never allocate (one sizing copy per shot at most). */
-    BitVec ancScratch;
+    /** @p nw words per key, at most @p maxKeys new keys per shot. */
+    ShotAccumulator(AccumScratch &as, std::size_t nw,
+                    std::size_t maxKeys)
+        : groups(0, KeyHash{}, KeyEq{nw}, poolOf(as)), scratch(as)
+    {
+        groups.reserve(8);
+        as.keysUsed = 0;
+        if (as.keyArena.size() < maxKeys * nw)
+            as.keyArena.resize(maxKeys * nw);
+        if (as.anc.size() < nw)
+            as.anc.resize(nw);
+    }
 
-    ShotAccumulator() { groups.reserve(8); }
+    static std::pmr::memory_resource *
+    poolOf(AccumScratch &as)
+    {
+        if (!as.pool)
+            as.pool =
+                std::make_unique<std::pmr::unsynchronized_pool_resource>();
+        return as.pool.get();
+    }
 
     double full() const { return std::norm(fullOverlap); }
 
@@ -212,6 +252,8 @@ FidelityEstimator::FidelityEstimator(
     // Gather the per-path ideal outputs (the accumulation code works
     // on scalar bit vectors and hash keys).
     ideals.reserve(input.size());
+    std::vector<std::uint64_t> idealKeys;
+    idealKeys.reserve(input.size());
     for (std::size_t k = 0; k < input.size(); ++k) {
         PathState p(circuit.numQubits());
         idealEns.gatherPath(k, p.bits);
@@ -221,11 +263,10 @@ FidelityEstimator::FidelityEstimator(
                        "ideal path acquired a phase; circuit contains "
                        "non-classical diagonal gates");
         ideals.push_back(std::move(p));
-        if (!visIndex
-                 .insert_or_assign(visibleKey(ideals.back().bits), k)
-                 .second)
-            dupVisibleKeys = true;
+        idealKeys.push_back(visibleKey(ideals.back().bits));
     }
+    dupVisibleKeys = visIndex.build(idealKeys);
+    stateWords = words;
 
     visMaskWords.assign(words, 0);
     for (Qubit q : addrQubits)
@@ -233,20 +274,43 @@ FidelityEstimator::FidelityEstimator(
     visMaskWords[bus >> 6] |= std::uint64_t(1) << (bus & 63);
 
     idealAnc.reserve(input.size());
+    idealAncHash.reserve(input.size());
     idealVisOwner.reserve(input.size());
     for (std::size_t k = 0; k < input.size(); ++k) {
         idealAnc.push_back(ancillaPart(ideals[k].bits));
-        idealVisOwner.push_back(
-            visIndex.at(visibleKey(ideals[k].bits)));
+        idealAncHash.push_back(idealAnc.back().hash());
+        idealVisOwner.push_back(visIndex.find(idealKeys[k]));
     }
 
     // Cache the empty-realization shot: identical accumulation to a
     // real shot whose every path lands on its ideal output.
-    ShotAccumulator acc;
+    AccumScratch as;
+    ShotAccumulator acc(as, stateWords, input.size());
     for (std::size_t k = 0; k < input.size(); ++k)
         accumulatePath(acc, k, ideals[k].bits, ideals[k].phase);
     emptyFull = acc.full();
     emptyReduced = acc.reduced();
+}
+
+bool
+FidelityEstimator::VisibleKeyTable::build(
+    const std::vector<std::uint64_t> &keys)
+{
+    unsigned bits = 1;
+    while ((std::size_t(1) << bits) < 2 * keys.size())
+        ++bits;
+    slots.assign(std::size_t(1) << bits, Slot{});
+    mask = slots.size() - 1;
+    shift = 64 - bits;
+    bool dup = false;
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        std::size_t i = slotOf(keys[k]);
+        while (slots[i].path != kNone && slots[i].key != keys[k])
+            i = (i + 1) & mask;
+        dup |= slots[i].path != kNone;
+        slots[i] = {keys[k], static_cast<std::uint32_t>(k)};
+    }
+    return dup;
 }
 
 std::uint64_t
@@ -266,14 +330,6 @@ FidelityEstimator::ancillaPart(const BitVec &bits) const
     for (std::size_t w = 0; w < visMaskWords.size(); ++w)
         a.andWord(w, ~visMaskWords[w]);
     return a;
-}
-
-void
-FidelityEstimator::ancillaPartInto(const BitVec &bits, BitVec &out) const
-{
-    out = bits; // copy-assign reuses the scratch's capacity
-    for (std::size_t w = 0; w < visMaskWords.size(); ++w)
-        out.andWord(w, ~visMaskWords[w]);
 }
 
 bool
@@ -313,17 +369,22 @@ FidelityEstimator::accumulateDeviatingPath(
     // Caller guarantees outBits != ideals[k].bits (a set deviation
     // bit means some row differs), so the self-overlap branch of the
     // general accumulation is skipped outright.
-    const auto it = visIndex.find(key);
-    if (it == visIndex.end())
+    const std::uint32_t owner = visIndex.find(key);
+    if (owner == VisibleKeyTable::kNone)
         return;
-    accumulateVisiblePath(acc, k, outBits, it->second, outPhase);
+    accumulateVisiblePath(acc, k, outBits.wordData(), owner, outPhase);
 }
 
 void
 FidelityEstimator::accumulateVisiblePath(
-    ShotAccumulator &acc, std::size_t k, const BitVec &outBits,
+    ShotAccumulator &acc, std::size_t k, const std::uint64_t *out,
     std::size_t owner, std::complex<double> outPhase) const
 {
+    const std::size_t nw = stateWords;
+    auto isIdealOf = [&](std::size_t j) {
+        return std::equal(out, out + nw, ideals[j].bits.wordData());
+    };
+
     // Full-state overlap: the noisy output contributes iff it lands
     // exactly on some OTHER path's ideal output (distinct addresses
     // give orthogonal ideal outputs, and the circuit is a
@@ -331,14 +392,14 @@ FidelityEstimator::accumulateVisiblePath(
     if (!dupVisibleKeys) {
         // Visible keys are unique, so the key owner is the only
         // candidate; one exact-bits check resolves the collision.
-        if (ideals[owner].bits == outBits)
+        if (isIdealOf(owner))
             acc.fullOverlap += std::conj(input.amps[owner]) *
                                input.amps[k] * outPhase;
     } else {
         // Degenerate input with repeated visible keys: fall back
         // to the exhaustive scan to keep historical semantics.
         for (std::size_t j = 0; j < input.size(); ++j) {
-            if (ideals[j].bits == outBits) {
+            if (isIdealOf(j)) {
                 acc.fullOverlap += std::conj(input.amps[j]) *
                                    input.amps[k] * outPhase;
                 break;
@@ -348,16 +409,25 @@ FidelityEstimator::accumulateVisiblePath(
 
     // Reduced overlap: group by ancilla configuration; within a
     // group, the visible component projects onto psi_ideal. The
-    // ancilla key lands in the accumulator's scratch so per-path
-    // lookups never allocate; find-then-emplace inserts exactly the
-    // keys (in exactly the order) operator[] would, keeping the
-    // group iteration — and thus summation — order unchanged.
-    ancillaPartInto(outBits, acc.ancScratch);
-    auto git = acc.groups.find(acc.ancScratch);
-    if (git == acc.groups.end())
-        git = acc.groups
-                  .emplace(acc.ancScratch, ShotAccumulator::Group{})
-                  .first;
+    // ancilla key is built in the scratch and copied into the key
+    // arena only when it opens a new group; find-then-emplace
+    // inserts exactly the keys (in exactly the order) operator[]
+    // would, keeping the group iteration — and thus summation —
+    // order unchanged.
+    AccumScratch &as = acc.scratch;
+    std::uint64_t *anc = as.anc.data();
+    for (std::size_t w = 0; w < nw; ++w)
+        anc[w] = out[w] & ~visMaskWords[w];
+    ShotAccumulator::Key key{anc, BitVec::hashWords(anc, nw)};
+    auto git = acc.groups.find(key);
+    if (git == acc.groups.end()) {
+        QRAMSIM_ASSERT((as.keysUsed + 1) * nw <= as.keyArena.size(),
+                       "group key arena exhausted");
+        std::uint64_t *dst = as.keyArena.data() + as.keysUsed++ * nw;
+        std::copy(anc, anc + nw, dst);
+        key.words = dst;
+        git = acc.groups.emplace(key, ShotAccumulator::Group{}).first;
+    }
     git->second.sum +=
         std::conj(input.amps[owner]) * input.amps[k] * outPhase;
 }
@@ -372,7 +442,9 @@ FidelityEstimator::accumulateIdealPath(
     // general form for paths that land on their ideal output.
     acc.fullOverlap +=
         std::conj(input.amps[k]) * input.amps[k] * phase;
-    acc.groups[idealAnc[k]].sum +=
+    acc.groups[ShotAccumulator::Key{idealAnc[k].wordData(),
+                                    idealAncHash[k]}]
+        .sum +=
         std::conj(input.amps[idealVisOwner[k]]) * input.amps[k] *
         phase;
 }
@@ -389,14 +461,14 @@ FidelityEstimator::accumulateIdealPath(
 // +-ideals[k].phase to the last ulp.
 void
 FidelityEstimator::shotZOnly(const FlatRealization &errors,
-                             ShotWorkspace &ws, double &fullOut,
-                             double &reducedOut) const
+                             ShotWorkspace &ws, AccumScratch &as,
+                             double &fullOut, double &reducedOut) const
 {
     const simd::RowKernels &K = simd::activeKernels();
     const FlatEvent *events = errors.events.data();
     const std::size_t numEvents = errors.events.size();
 
-    ShotAccumulator acc;
+    ShotAccumulator acc(as, stateWords, input.size());
     ws.parity.assign(pathWords, 0);
     for (std::size_t e = 0; e < numEvents; ++e) {
         const std::uint32_t q = events[e].qubit;
@@ -423,6 +495,7 @@ FidelityEstimator::shotZOnly(const FlatRealization &errors,
 
 void
 FidelityEstimator::accumulateEnsembleShot(ShotWorkspace &ws,
+                                          AccumScratch &as,
                                           ShotAccumulator &acc) const
 {
     const simd::RowKernels &K = simd::activeKernels();
@@ -443,25 +516,27 @@ FidelityEstimator::accumulateEnsembleShot(ShotWorkspace &ws,
     }
 
     accumulateShotRows(noisy, pathWords, ws.ens.phaseData(),
-                       ws.dev.data(), ws.devRows, ws, acc);
+                       ws.dev.data(), ws.devRows, as, acc);
 }
 
 void
 FidelityEstimator::accumulateShotRows(
     const std::uint64_t *rows, std::size_t stride,
     const std::complex<double> *phases, const std::uint64_t *dev,
-    const std::vector<std::uint32_t> &devRows, ShotWorkspace &ws,
+    const std::vector<std::uint32_t> &devRows, AccumScratch &as,
     ShotAccumulator &acc) const
 {
-    const std::size_t nq = exec.circuit().numQubits();
+    const std::size_t np = input.size();
+    const std::size_t nw = stateWords;
+    const std::size_t dw = idealEns.dataWords();
     const std::uint64_t *ideal = idealEns.rowData();
 
     // Visible keys by word transpose of the visible rows only
     // (address bits + bus; <= 64 rows), and only for words that hold
     // a deviating path — non-deviating paths never read a key.
     if (!devRows.empty()) {
-        ws.keys.assign(input.size(), 0);
-        for (std::size_t w = 0; w < pathWords; ++w) {
+        as.keys.assign(np, 0);
+        for (std::size_t w = 0; w < dw; ++w) {
             if (!dev[w])
                 continue;
             const std::size_t base = w * 64;
@@ -471,7 +546,7 @@ FidelityEstimator::accumulateShotRows(
                     const std::size_t k = static_cast<std::size_t>(
                         __builtin_ctzll(m));
                     m &= m - 1;
-                    ws.keys[base + k] |= std::uint64_t(1) << b;
+                    as.keys[base + k] |= std::uint64_t(1) << b;
                 }
             }
             std::uint64_t m = rows[std::size_t(bus) * stride + w];
@@ -479,7 +554,7 @@ FidelityEstimator::accumulateShotRows(
                 const std::size_t k =
                     static_cast<std::size_t>(__builtin_ctzll(m));
                 m &= m - 1;
-                ws.keys[base + k] |= std::uint64_t(1)
+                as.keys[base + k] |= std::uint64_t(1)
                                      << addrQubits.size();
             }
         }
@@ -489,13 +564,9 @@ FidelityEstimator::accumulateShotRows(
     // deviates — the typical shape of an X event's whole-row flip
     // before per-path routing divergence) and partial rows. Uniform
     // rows fold into ONE output-word mask applied to every path;
-    // only the partial rows need a per-path test.
-    if (ws.path.bits.size() != nq)
-        ws.path = PathState(nq);
-    const std::size_t onw = ws.path.bits.numWords();
-    const std::size_t dw = idealEns.dataWords();
-    ws.uniformMask.assign(onw, 0);
-    ws.partialRows.clear();
+    // only the partial rows flip per path.
+    as.uniformMask.assign(nw, 0);
+    as.partialRows.clear();
     for (std::uint32_t q : devRows) {
         bool uniform = true;
         for (std::size_t w = 0; w < dw && uniform; ++w)
@@ -503,50 +574,90 @@ FidelityEstimator::accumulateShotRows(
                        ideal[q * pathWords + w]) ==
                       idealEns.validMask(w);
         if (uniform)
-            ws.uniformMask[q >> 6] ^= std::uint64_t(1) << (q & 63);
+            as.uniformMask[q >> 6] ^= std::uint64_t(1) << (q & 63);
         else
-            ws.partialRows.push_back(q);
+            as.partialRows.push_back(q);
     }
 
-    // Accumulate: non-deviating paths from precomputed ideal lookups
-    // (same arithmetic, same order as the scalar engine). A deviating
-    // path contributes nothing unless its visible key matches some
-    // ideal key, and the keys are already gathered — so the key is
-    // checked FIRST and only matching paths materialize their output
-    // (ideal words XOR the uniform mask, plus partial-row flips — no
-    // per-qubit gatherPath walk).
-    std::uint64_t *outw = ws.path.bits.wordData();
-    const std::uint64_t *um = ws.uniformMask.data();
-    for (std::size_t k = 0; k < input.size(); ++k) {
-        const std::complex<double> phase = phases[k];
-        if (!((dev[k >> 6] >> (k & 63)) & 1)) {
-            accumulateIdealPath(acc, k, phase);
-            continue;
+    // A deviating path contributes nothing unless its visible key is
+    // some ideal path's, and the keys are already gathered — so the
+    // owners are looked up FIRST and only the hit paths get an
+    // output slot.
+    as.hitMask.assign(dw, 0);
+    if (as.owner.size() < np) {
+        as.owner.resize(np);
+        as.slot.resize(np);
+    }
+    std::uint32_t hits = 0;
+    for (std::size_t w = 0; w < dw; ++w) {
+        std::uint64_t m = dev[w] & idealEns.validMask(w);
+        while (m) {
+            const std::size_t k =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+            m &= m - 1;
+            const std::uint32_t o = visIndex.find(as.keys[k]);
+            if (o == VisibleKeyTable::kNone)
+                continue; // off every ideal key
+            as.hitMask[w] |= std::uint64_t(1) << (k & 63);
+            as.owner[k] = o;
+            as.slot[k] = hits++;
         }
-        const auto it = visIndex.find(ws.keys[k]);
-        if (it == visIndex.end())
-            continue; // off every ideal key: contributes nothing
-        const std::uint64_t *iw = ideals[k].bits.wordData();
-        for (std::size_t w = 0; w < onw; ++w)
-            outw[w] = iw[w] ^ um[w];
-        const std::size_t kw = k >> 6;
-        const std::uint64_t km = std::uint64_t(1) << (k & 63);
-        for (std::uint32_t q : ws.partialRows)
-            if ((rows[q * stride + kw] ^
-                 ideal[q * pathWords + kw]) &
-                km)
-                outw[q >> 6] ^= std::uint64_t(1) << (q & 63);
-        // A set deviation bit proves outBits != ideals[k].bits, so
-        // the self-overlap compare of the general form is skipped.
-        accumulateVisiblePath(acc, k, ws.path.bits, it->second,
-                              phase);
+    }
+
+    // Scatter-build the hit paths' outputs: ideal words XOR the
+    // uniform mask, then each partial row flips its bit in exactly
+    // the hit paths that deviate on it (one ctz walk per row, so the
+    // cost follows the actual deviations, not paths x rows).
+    if (as.out.size() < std::size_t(hits) * nw)
+        as.out.resize(std::size_t(hits) * nw);
+    std::uint64_t *out = as.out.data();
+    const std::uint64_t *um = as.uniformMask.data();
+    for (std::size_t w = 0; w < dw; ++w) {
+        for (std::uint64_t m = as.hitMask[w]; m; m &= m - 1) {
+            const std::size_t k =
+                w * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+            const std::uint64_t *iw = ideals[k].bits.wordData();
+            std::uint64_t *o = out + std::size_t(as.slot[k]) * nw;
+            for (std::size_t i = 0; i < nw; ++i)
+                o[i] = iw[i] ^ um[i];
+        }
+    }
+    for (std::uint32_t q : as.partialRows) {
+        const std::uint64_t *row = rows + q * stride;
+        const std::uint64_t *irow = ideal + q * pathWords;
+        const std::size_t qw = q >> 6;
+        const std::uint64_t qb = std::uint64_t(1) << (q & 63);
+        for (std::size_t w = 0; w < dw; ++w) {
+            for (std::uint64_t m = (row[w] ^ irow[w]) & as.hitMask[w]; m;
+                 m &= m - 1) {
+                const std::size_t k =
+                    w * 64 +
+                    static_cast<std::size_t>(__builtin_ctzll(m));
+                out[std::size_t(as.slot[k]) * nw + qw] ^= qb;
+            }
+        }
+    }
+
+    // Accumulate in path order: non-deviating paths from precomputed
+    // ideal lookups (same arithmetic, same order as the scalar
+    // engine), hit paths from their built outputs. A set deviation
+    // bit proves the output differs from ideals[k], so the
+    // self-overlap compare of the general form is skipped.
+    for (std::size_t k = 0; k < np; ++k) {
+        const std::uint64_t bit = std::uint64_t(1) << (k & 63);
+        if (!(dev[k >> 6] & bit))
+            accumulateIdealPath(acc, k, phases[k]);
+        else if (as.hitMask[k >> 6] & bit)
+            accumulateVisiblePath(acc, k,
+                                  out + std::size_t(as.slot[k]) * nw,
+                                  as.owner[k], phases[k]);
     }
 }
 
 void
 FidelityEstimator::shotFlat(const FlatRealization &errors,
-                            ShotWorkspace &ws, double &fullOut,
-                            double &reducedOut) const
+                            ShotWorkspace &ws, AccumScratch &as,
+                            double &fullOut, double &reducedOut) const
 {
     if (errors.empty()) {
         fullOut = emptyFull;
@@ -554,7 +665,7 @@ FidelityEstimator::shotFlat(const FlatRealization &errors,
         return;
     }
     if (errors.zOnly) {
-        shotZOnly(errors, ws, fullOut, reducedOut);
+        shotZOnly(errors, ws, as, fullOut, reducedOut);
         return;
     }
 
@@ -563,7 +674,7 @@ FidelityEstimator::shotFlat(const FlatRealization &errors,
     const FlatEvent *events = errors.events.data();
     const std::size_t numEvents = errors.events.size();
 
-    ShotAccumulator acc;
+    ShotAccumulator acc(as, stateWords, input.size());
 
     // General realization: replay from the checkpoint preceding the
     // first event to the end of the stream.
@@ -590,30 +701,48 @@ FidelityEstimator::shotFlat(const FlatRealization &errors,
     // the ensemble-native accumulation classifies and scores them.
     ws.ens = ckpts[ckpt];
     exec.runSpanEnsemble(ws.ens, from, numOps, events, numEvents);
-    accumulateEnsembleShot(ws, acc);
+    accumulateEnsembleShot(ws, as, acc);
     fullOut = acc.full();
     reducedOut = acc.reduced();
 }
+
+namespace {
+
+/**
+ * Books wall time into StageTimes slots: each stage() call charges
+ * the time since the previous call (or construction) to one slot.
+ */
+template <class Times>
+class StageClock
+{
+  public:
+    explicit StageClock(Times &t) : times(t), tp(Clock::now()) {}
+
+    void restart() { tp = Clock::now(); }
+
+    void
+    stage(double Times::*slot)
+    {
+        const Clock::time_point now = Clock::now();
+        times.*slot += std::chrono::duration<double>(now - tp).count();
+        tp = now;
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    Times &times;
+    Clock::time_point tp;
+};
+
+} // namespace
 
 void
 FidelityEstimator::evalGeneralBatch(
     const FlatRealization *const *batch, const std::size_t *rows,
     std::size_t qn, EvalScratch &scratch, double *fs, double *rs,
-    StageTimes *times) const
+    StageTimes &times) const
 {
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point tp;
-    if (times)
-        tp = Clock::now();
-    auto stage = [&](double StageTimes::*slot) {
-        if (!times)
-            return;
-        const Clock::time_point now = Clock::now();
-        times->*slot +=
-            std::chrono::duration<double>(now - tp).count();
-        tp = now;
-    };
-
+    StageClock<StageTimes> clock(times);
     std::vector<ShotWorkspace> &wss = scratch.wss;
     if (wss.size() < qn)
         wss.resize(qn);
@@ -627,8 +756,9 @@ FidelityEstimator::evalGeneralBatch(
         // queues under Scalar). One whole-shot replay per entry,
         // booked entirely as 'replay'.
         for (std::size_t b = 0; b < qn; ++b)
-            shotFlat(*batch[b], wss[0], fs[rows[b]], rs[rows[b]]);
-        stage(&StageTimes::replay);
+            shotFlat(*batch[b], wss[0], scratch.accum, fs[rows[b]],
+                     rs[rows[b]]);
+        clock.stage(&StageTimes::replay);
         return;
     }
 
@@ -647,16 +777,17 @@ FidelityEstimator::evalGeneralBatch(
             slots[b] = {&wss[b].ens, r.events.data(),
                         r.events.size(), ckpt * ckptStride, 0};
         }
-        stage(&StageTimes::gather);
+        clock.stage(&StageTimes::gather);
         exec.runSpanEnsembleBatch(slots, qn, numOps);
-        stage(&StageTimes::replay);
+        clock.stage(&StageTimes::replay);
         for (std::size_t b = 0; b < qn; ++b) {
-            ShotAccumulator acc;
-            accumulateEnsembleShot(wss[b], acc);
+            ShotAccumulator acc(scratch.accum, stateWords,
+                                input.size());
+            accumulateEnsembleShot(wss[b], scratch.accum, acc);
             fs[rows[b]] = acc.full();
             rs[rows[b]] = acc.reduced();
         }
-        stage(&StageTimes::accumulate);
+        clock.stage(&StageTimes::accumulate);
         return;
     }
 
@@ -692,10 +823,10 @@ FidelityEstimator::evalGeneralBatch(
         const std::complex<double> *src = ckpts[ckpt].phaseData();
         std::copy(src, src + input.size(), blk.phaseSlice(b));
     }
-    stage(&StageTimes::gather);
+    clock.stage(&StageTimes::gather);
 
     exec.runSpanEnsembleBlock(blk, bshots, numOps);
-    stage(&StageTimes::replay);
+    clock.stage(&StageTimes::replay);
 
     const simd::RowKernels &K = simd::activeKernels();
     scratch.devBlock.assign(qn * pw, 0);
@@ -711,21 +842,22 @@ FidelityEstimator::evalGeneralBatch(
                     static_cast<std::uint32_t>(q));
     }
     for (std::size_t b = 0; b < qn; ++b) {
-        ShotAccumulator acc;
+        ShotAccumulator acc(scratch.accum, stateWords, input.size());
         accumulateShotRows(blk.rowData() + b * pw, blk.rowWords(),
                            blk.phaseSlice(b),
                            scratch.devBlock.data() + b * pw,
-                           wss[b].devRows, wss[b], acc);
+                           wss[b].devRows, scratch.accum, acc);
         fs[rows[b]] = acc.full();
         rs[rows[b]] = acc.reduced();
     }
-    stage(&StageTimes::accumulate);
+    clock.stage(&StageTimes::accumulate);
 }
 
 void
 FidelityEstimator::evalShots(const FlatRealization *reals,
                              std::size_t n, EvalScratch &scratch,
-                             double *fs, double *rs) const
+                             double *fs, double *rs,
+                             StageTimes &times) const
 {
     std::vector<ShotWorkspace> &wss = scratch.wss;
     if (wss.size() < replayBatchN)
@@ -743,14 +875,17 @@ FidelityEstimator::evalShots(const FlatRealization *reals,
     // indices, so the caller's reduction order is untouched.
     std::size_t *queue = scratch.queue.data();
     std::size_t qn = 0;
+    StageClock<StageTimes> clock(times);
 
     auto flush = [&]() {
         if (qn == 0)
             return;
+        clock.stage(&StageTimes::accumulate);
         for (std::size_t b = 0; b < qn; ++b)
             scratch.ptrs[b] = &reals[queue[b]];
         evalGeneralBatch(scratch.ptrs.data(), queue, qn, scratch, fs,
-                         rs, nullptr);
+                         rs, times);
+        clock.restart();
         qn = 0;
     };
 
@@ -760,9 +895,11 @@ FidelityEstimator::evalShots(const FlatRealization *reals,
             fs[j] = emptyFull;
             rs[j] = emptyReduced;
         } else if (r.zOnly) {
-            shotZOnly(r, wss[0], fs[j], rs[j]);
+            shotZOnly(r, wss[0], scratch.accum, fs[j], rs[j]);
         } else if (replay == ReplayEngine::Scalar) {
-            shotFlat(r, wss[0], fs[j], rs[j]);
+            clock.stage(&StageTimes::accumulate);
+            shotFlat(r, wss[0], scratch.accum, fs[j], rs[j]);
+            clock.stage(&StageTimes::replay);
         } else {
             queue[qn++] = j;
             if (qn == replayBatchN)
@@ -770,6 +907,7 @@ FidelityEstimator::evalShots(const FlatRealization *reals,
         }
     }
     flush();
+    clock.stage(&StageTimes::accumulate);
 }
 
 void
@@ -807,7 +945,8 @@ FidelityEstimator::shotFidelity(const FlatRealization &errors,
                                 double &reducedOut) const
 {
     ShotWorkspace ws;
-    shotFlat(errors, ws, fullOut, reducedOut);
+    AccumScratch as;
+    shotFlat(errors, ws, as, fullOut, reducedOut);
 }
 
 void
@@ -818,7 +957,8 @@ FidelityEstimator::shotFidelity(const ErrorRealization &errors,
     FlatRealization flat;
     exec.flatten(errors, flat);
     ShotWorkspace ws;
-    shotFlat(flat, ws, fullOut, reducedOut);
+    AccumScratch as;
+    shotFlat(flat, ws, as, fullOut, reducedOut);
 }
 
 std::size_t
@@ -831,6 +971,49 @@ FidelityEstimator::setReplayBatch(std::size_t n)
 // Out of line so the unique_ptr<ThreadPool> member destroys where
 // ThreadPool is complete.
 FidelityEstimator::~FidelityEstimator() = default;
+
+namespace {
+
+/** The idle scratches behind ScratchLease. Never destroyed, so a
+ *  lease may end during static destruction. */
+template <class Scratch>
+struct IdleScratches
+{
+    std::mutex mu;
+    std::vector<std::unique_ptr<Scratch>> idle;
+
+    static IdleScratches &
+    get()
+    {
+        static IdleScratches *cache = new IdleScratches;
+        return *cache;
+    }
+};
+
+} // namespace
+
+FidelityEstimator::ScratchLease::ScratchLease()
+{
+    auto &cache = IdleScratches<EvalScratch>::get();
+    {
+        std::lock_guard<std::mutex> lock(cache.mu);
+        if (!cache.idle.empty()) {
+            scratch = std::move(cache.idle.back());
+            cache.idle.pop_back();
+        }
+    }
+    if (!scratch)
+        scratch = std::make_unique<EvalScratch>();
+}
+
+FidelityEstimator::ScratchLease::~ScratchLease()
+{
+    if (!scratch)
+        return;
+    auto &cache = IdleScratches<EvalScratch>::get();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    cache.idle.push_back(std::move(scratch));
+}
 
 bool
 FidelityEstimator::setPipeline(bool on)
@@ -948,7 +1131,7 @@ FidelityEstimator::runPipelined(const NoiseModel &noise,
     // (and any sampling task) share no mutable state.
     struct Lane
     {
-        EvalScratch scratch;
+        ScratchLease scratch;
         std::vector<Pending> units;
         std::vector<const FlatRealization *> batch;
         std::vector<std::size_t> rows;
@@ -1053,11 +1236,11 @@ FidelityEstimator::runPipelined(const NoiseModel &noise,
         try {
             if (L.zOnly) {
                 const auto ts = Clock::now();
-                if (L.scratch.wss.empty())
-                    L.scratch.wss.resize(1);
+                if (L.scratch->wss.empty())
+                    L.scratch->wss.resize(1);
                 for (std::size_t i = 0; i < L.count; ++i)
-                    shotZOnly(L.units[i].real, L.scratch.wss[0],
-                              full[L.units[i].row],
+                    shotZOnly(L.units[i].real, L.scratch->wss[0],
+                              L.scratch->accum, full[L.units[i].row],
                               reduced[L.units[i].row]);
                 L.zSec += std::chrono::duration<double>(Clock::now() -
                                                         ts)
@@ -1072,8 +1255,8 @@ FidelityEstimator::runPipelined(const NoiseModel &noise,
                     L.rows[i] = L.units[i].row;
                 }
                 evalGeneralBatch(L.batch.data(), L.rows.data(),
-                                 L.count, L.scratch, full, reduced,
-                                 &L.times);
+                                 L.count, *L.scratch, full, reduced,
+                                 L.times);
             }
         } catch (...) {
             std::lock_guard<std::mutex> lock(mu);
@@ -1312,7 +1495,9 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
     };
     std::vector<Meta> keptMeta;
     std::vector<double> fvals, rvals;
-    std::vector<EvalScratch> scratches(std::max(1u, threads));
+    std::vector<ScratchLease> scratches(std::max(1u, threads));
+    std::vector<StageTimes> times(scratches.size());
+    using Clock = std::chrono::steady_clock;
     std::vector<std::size_t> quotaZ(npts), quotaG(npts);
     std::vector<std::size_t> usedZ(npts), usedG(npts);
 
@@ -1372,6 +1557,7 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
         std::fill(usedG.begin(), usedG.end(), 0);
 
         // Sample and keep, first-come in draw order (deterministic).
+        const auto ts = Clock::now();
         keptReals.clear();
         keptMeta.clear();
         for (; draw < batchEnd; ++draw) {
@@ -1402,13 +1588,15 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
             }
         }
 
+        times[0].sample +=
+            std::chrono::duration<double>(Clock::now() - ts).count();
         const std::size_t kn = keptReals.size();
         fvals.assign(kn, 0.0);
         rvals.assign(kn, 0.0);
         if (kn > 0) {
             if (threads <= 1 || kn == 1) {
-                evalShots(keptReals.data(), kn, scratches[0],
-                          fvals.data(), rvals.data());
+                evalShots(keptReals.data(), kn, *scratches[0],
+                          fvals.data(), rvals.data(), times[0]);
             } else {
                 // Contiguous chunks at disjoint result indices; the
                 // stopping decision below runs only after wait(), so
@@ -1421,12 +1609,13 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
                     const std::size_t b1 = std::min(kn, b0 + chunk);
                     if (b0 >= b1)
                         break;
-                    EvalScratch &scr = scratches[t];
-                    group.run([this, &keptReals, &scr, &fvals,
+                    EvalScratch &scr = *scratches[t];
+                    StageTimes &tt = times[t];
+                    group.run([this, &keptReals, &scr, &tt, &fvals,
                                &rvals, b0, b1] {
                         evalShots(keptReals.data() + b0, b1 - b0,
                                   scr, fvals.data() + b0,
-                                  rvals.data() + b0);
+                                  rvals.data() + b0, tt);
                     });
                 }
                 group.wait();
@@ -1481,18 +1670,30 @@ FidelityEstimator::runShardAdaptive(const NoiseModel &noise,
     }
     part.drawsUsed = draw - spec.shotBegin;
     part.recomputeSums();
-
-    {
-        PipelineStats st;
-        st.pipelined = false;
-        st.threads = threads;
-        st.wallSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wallBegin)
-                         .count();
-        std::lock_guard<std::mutex> lock(poolMu);
-        pstats = st;
-    }
+    publishStats(threads, wallBegin, times);
     return part;
+}
+
+void
+FidelityEstimator::publishStats(
+    unsigned threads, std::chrono::steady_clock::time_point wallBegin,
+    const std::vector<StageTimes> &times) const
+{
+    StageTimes sum;
+    for (const StageTimes &t : times)
+        sum.add(t);
+    PipelineStats st;
+    st.pipelined = false;
+    st.threads = threads;
+    st.wallSec = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wallBegin)
+                     .count();
+    st.sampleSec = sum.sample;
+    st.gatherSec = sum.gather;
+    st.replaySec = sum.replay;
+    st.accumulateSec = sum.accumulate;
+    std::lock_guard<std::mutex> lock(poolMu);
+    pstats = st;
 }
 
 PartialEstimate
@@ -1545,14 +1746,18 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         return (globalShot - spec.shotBegin) * npts;
     };
 
+    // Stage times, one slot per phase-sequential task.
+    using Clock = std::chrono::steady_clock;
+    std::vector<StageTimes> times(std::max(1u, threads));
+
     // The per-chunk evaluation bodies (plain estimate vs sweep),
     // shared by every stream/thread dispatch below. Each evaluates
     // global shots [begin, end) using makeRng(s) for shot s's draws.
     auto plainRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end) {
+                          std::size_t end, StageTimes &tt) {
         std::vector<FlatRealization> reals(std::min<std::size_t>(
             std::max<std::size_t>(1, end - begin), kShotChunk));
-        EvalScratch scratch;
+        ScratchLease scratch;
         std::vector<double> fbuf, rbuf;
         if (summaryOnly) {
             fbuf.resize(reals.size());
@@ -1561,16 +1766,19 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         for (std::size_t base = begin; base < end;
              base += kShotChunk) {
             const std::size_t nThis = std::min(kShotChunk, end - base);
+            const auto ts = Clock::now();
             for (std::size_t j = 0; j < nThis; ++j) {
                 auto &&rng = makeRng(base + j);
                 noise.sampleFlat(exec, rng, reals[j]);
             }
+            tt.sample +=
+                std::chrono::duration<double>(Clock::now() - ts).count();
             double *fs = summaryOnly ? fbuf.data()
                                      : part.full.data() + rowsAt(base);
             double *rs = summaryOnly
                              ? rbuf.data()
                              : part.reduced.data() + rowsAt(base);
-            evalShots(reals.data(), nThis, scratch, fs, rs);
+            evalShots(reals.data(), nThis, *scratch, fs, rs, tt);
             if (summaryOnly) {
                 for (std::size_t j = 0; j < nThis; ++j) {
                     aF[0] += fs[j];
@@ -1582,26 +1790,29 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
         }
     };
     auto sweepRange = [&](auto makeRng, std::size_t begin,
-                          std::size_t end) {
+                          std::size_t end, StageTimes &tt) {
         std::vector<FlatRealization> reals(npts);
-        EvalScratch scratch;
+        ScratchLease scratch;
         std::vector<double> fbuf, rbuf;
         if (summaryOnly) {
             fbuf.resize(npts);
             rbuf.resize(npts);
         }
         for (std::size_t s = begin; s < end; ++s) {
+            const auto ts = Clock::now();
             auto &&rng = makeRng(s);
             const bool ok = noise.sampleFlatSweep(
                 exec, rng, spec.factors.data(), npts, reals.data());
             QRAMSIM_ASSERT(ok, "noise model '", noise.name(),
                            "' has no sweep sampler");
+            tt.sample +=
+                std::chrono::duration<double>(Clock::now() - ts).count();
             // One shot's sweep points replay as one ensemble batch.
             double *fs = summaryOnly ? fbuf.data()
                                      : part.full.data() + rowsAt(s);
             double *rs = summaryOnly ? rbuf.data()
                                      : part.reduced.data() + rowsAt(s);
-            evalShots(reals.data(), npts, scratch, fs, rs);
+            evalShots(reals.data(), npts, *scratch, fs, rs, tt);
             if (summaryOnly) {
                 for (std::size_t j = 0; j < npts; ++j) {
                     aF[j] += fs[j];
@@ -1623,17 +1834,20 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
             // uniforms per shot, and sampleFlat consumes the
             // identical draw sequence as sampleFlatSweep, so it
             // serves as the cheaper skipper for sweep shards too.
+            const auto ts = Clock::now();
             Rng rng(spec.seed);
             FlatRealization skip;
             for (std::size_t s = 0; s < spec.shotBegin; ++s)
                 noise.sampleFlat(exec, rng, skip);
+            times[0].sample +=
+                std::chrono::duration<double>(Clock::now() - ts).count();
             range([&](std::size_t) -> Rng & { return rng; },
-                  spec.shotBegin, spec.shotEnd);
+                  spec.shotBegin, spec.shotEnd, times[0]);
         } else if (threads <= 1) {
             range([&](std::size_t s) {
                       return CounterRng(spec.seed, s);
                   },
-                  spec.shotBegin, spec.shotEnd);
+                  spec.shotBegin, spec.shotEnd, times[0]);
         } else {
             // In-process shards: each pool task evaluates a
             // contiguous sub-range through the same counter streams.
@@ -1649,11 +1863,12 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
                     std::min(begin + chunk, spec.shotEnd);
                 if (begin >= end)
                     break;
-                group.run([&range, &spec, begin, end] {
+                StageTimes &tt = times[t];
+                group.run([&range, &spec, &tt, begin, end] {
                     range([&spec](std::size_t s) {
                               return CounterRng(spec.seed, s);
                           },
-                          begin, end);
+                          begin, end, tt);
                 });
             }
             group.wait();
@@ -1676,19 +1891,9 @@ FidelityEstimator::runShardImpl(const NoiseModel &noise,
     else
         dispatch(sweepRange);
 
-    if (!usePipeline) {
-        // The pipelined executor publishes its own stage breakdown;
-        // every other path still reports wall time and mode so
-        // lastPipelineStats() always describes the latest run.
-        PipelineStats st;
-        st.pipelined = false;
-        st.threads = threads;
-        st.wallSec = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wallBegin)
-                         .count();
-        std::lock_guard<std::mutex> lock(poolMu);
-        pstats = st;
-    }
+    // The pipelined executor publishes its own stage breakdown.
+    if (!usePipeline)
+        publishStats(threads, wallBegin, times);
 
     if (summaryOnly) {
         part.sumF = std::move(aF);

@@ -57,11 +57,12 @@
 #ifndef QRAMSIM_SIM_FIDELITY_HH
 #define QRAMSIM_SIM_FIDELITY_HH
 
+#include <chrono>
 #include <complex>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/feynman.hh"
@@ -102,11 +103,12 @@ struct FidelityResult
 };
 
 /**
- * Stage accounting of one estimate/sweep/shard run. sampleSec..
- * accumulateSec are summed task-seconds per pipeline stage (they can
- * exceed wallSec when stages overlap — that excess IS the pipeline
- * win); occupancy() is the fraction of the worker-second budget
- * (threads x wall) the stages kept busy.
+ * Stage accounting of one estimate/sweep/shard run, on every
+ * executor. sampleSec..accumulateSec are summed task-seconds per
+ * stage (on the pipelined executor they can exceed wallSec when
+ * stages overlap — that excess IS the pipeline win); occupancy() is
+ * the fraction of the worker-second budget (threads x wall) the
+ * stages kept busy. Empty and Z-only shots count as accumulation.
  */
 struct PipelineStats
 {
@@ -361,9 +363,8 @@ class FidelityEstimator
     /**
      * Stage timing/occupancy of this estimator's most recent
      * estimate / estimateSweep / runShard call (valid once the call
-     * returned; stage fields are zero when the non-pipelined path
-     * ran). The A/B instrumentation behind the bench_simulator
-     * pipeline record fields.
+     * returned), whichever executor ran it. The instrumentation
+     * behind the bench_simulator stage record fields.
      */
     PipelineStats lastPipelineStats() const;
 
@@ -379,9 +380,6 @@ class FidelityEstimator
     /** Copy of @p bits with address+bus positions cleared. */
     BitVec ancillaPart(const BitVec &bits) const;
 
-    /** ancillaPart into a reusable scratch (no per-call allocation). */
-    void ancillaPartInto(const BitVec &bits, BitVec &out) const;
-
     /** Shots sampled ahead per chunk of the estimate loop (also the
      *  upper clamp of the replay-batch width: wider batches could
      *  never fill from one chunk). */
@@ -391,32 +389,58 @@ class FidelityEstimator
      *  (runtime knob; see setReplayBatch). */
     std::size_t replayBatchN = 16;
 
-    /** Reusable per-thread scratch for shot evaluation. */
+    /** Reusable per-shot replay scratch (one per batched shot). */
     struct ShotWorkspace
     {
-        PathState path;           ///< scalar replay / outBits scratch
+        PathState path;           ///< scalar replay state
         PathEnsemble ens;         ///< ensemble replay state
         simd::AlignedWords parity; ///< Z-path sign bits per path
         simd::AlignedWords dev;    ///< per-path deviation mask
         std::vector<std::uint32_t> devRows; ///< qubits with deviation
-        std::vector<std::uint64_t> keys;    ///< row-wise visible keys
+    };
+
+    /**
+     * Reusable accumulation scratch. Shots accumulate one at a time,
+     * so one instance serves every shot of an EvalScratch (batch
+     * width and pipeline lanes do not multiply it), and nothing in
+     * it is allocated once it has grown to the largest shot seen.
+     */
+    struct AccumScratch
+    {
+        std::vector<std::uint64_t> keys;        ///< visible key per path
         std::vector<std::uint64_t> uniformMask; ///< all-path flip words
         std::vector<std::uint32_t> partialRows; ///< per-path-flip rows
+        std::vector<std::uint64_t> hitMask; ///< paths on an ideal key
+        std::vector<std::uint32_t> owner;   ///< key owner per hit path
+        std::vector<std::uint32_t> slot;    ///< output slot per hit path
+        std::vector<std::uint64_t> out;     ///< hit paths' outputs
+
+        /// @name Reduced-overlap groups (ShotAccumulator)
+        /// @{
+        std::vector<std::uint64_t> anc;      ///< ancilla-part scratch
+        std::vector<std::uint64_t> keyArena; ///< new groups' keys
+        std::size_t keysUsed = 0;            ///< keyArena cursor
+        /** Node and bucket memory of the per-shot group map. */
+        std::unique_ptr<std::pmr::unsynchronized_pool_resource> pool;
+        /// @}
     };
 
     /** Shot evaluation with caller-provided scratch. */
     void shotFlat(const FlatRealization &errors, ShotWorkspace &ws,
-                  double &fullOut, double &reducedOut) const;
+                  AccumScratch &as, double &fullOut,
+                  double &reducedOut) const;
 
     /** The Z-only fast path of shotFlat (no gate replayed at all). */
     void shotZOnly(const FlatRealization &errors, ShotWorkspace &ws,
-                   double &fullOut, double &reducedOut) const;
+                   AccumScratch &as, double &fullOut,
+                   double &reducedOut) const;
 
     /** Reusable per-caller scratch for evalShots (workspaces, the
-     *  batched-replay queue, and the op-major block arena), so the
-     *  hot loop never allocates. */
+     *  batched-replay queue, the op-major block arena, and the
+     *  accumulation scratch), so the hot loop never allocates. */
     struct EvalScratch
     {
+        AccumScratch accum;
         std::vector<ShotWorkspace> wss;
         std::vector<std::size_t> queue;
         std::vector<const FlatRealization *> ptrs;
@@ -432,40 +456,80 @@ class FidelityEstimator
     };
 
     /**
+     * An EvalScratch borrowed for one task of a run from a
+     * process-wide cache and handed back when the lease ends. Nothing
+     * in an EvalScratch is tied to one estimator (every buffer is
+     * resized to the circuit at hand), so the cache holds as many
+     * scratches as ran concurrently, whatever the number of
+     * estimators. The scratches (the block arena alone holds one
+     * padded path row per qubit and batched shot, 1.5 MB at
+     * bucket-brigade m=8) are thus not freed and reallocated every
+     * run: freeing blocks that size raises
+     * glibc's adaptive mmap threshold, so later ones came from the
+     * heap, whose holes ratcheted a long-running process's peak RSS
+     * up round after round.
+     */
+    class ScratchLease
+    {
+      public:
+        ScratchLease();
+        ~ScratchLease();
+        ScratchLease(ScratchLease &&) = default;
+        ScratchLease &operator=(ScratchLease &&) = delete;
+
+        EvalScratch &operator*() const { return *scratch; }
+        EvalScratch *operator->() const { return scratch.get(); }
+
+      private:
+        std::unique_ptr<EvalScratch> scratch;
+    };
+
+    /** Wall time per stage, summed over the batches of one task. */
+    struct StageTimes
+    {
+        double sample = 0.0;
+        double gather = 0.0;
+        double replay = 0.0;
+        double accumulate = 0.0;
+
+        void
+        add(const StageTimes &o)
+        {
+            sample += o.sample;
+            gather += o.gather;
+            replay += o.replay;
+            accumulate += o.accumulate;
+        }
+    };
+
+    /**
      * Evaluate @p n presampled realizations into fs/rs. Empty and
      * Z-only realizations take their fast paths; general ones are
      * replayed in batches of replayBatch() through one ensemble pass
      * each (ReplayEngine::Scalar falls back to per-shot replay).
-     * Per-realization results are identical to shotFlat's.
+     * Per-realization results are identical to shotFlat's. Stage
+     * wall times accumulate into @p times: empty and Z-only shots as
+     * accumulation, Scalar replays as replay.
      */
     void evalShots(const FlatRealization *reals, std::size_t n,
-                   EvalScratch &scratch, double *fs,
-                   double *rs) const;
-
-    /** Wall time per stage of one general replay batch. */
-    struct StageTimes
-    {
-        double gather = 0.0;
-        double replay = 0.0;
-        double accumulate = 0.0;
-    };
+                   EvalScratch &scratch, double *fs, double *rs,
+                   StageTimes &times) const;
 
     /**
      * The batched general-realization evaluation core shared by the
      * phase-sequential evalShots flush and the pipelined replay
      * lanes: replay batch[0..qn) (all guaranteed non-empty and not
      * Z-only) through the selected engine and write the per-shot
-     * fidelities to fs[rows[b]] / rs[rows[b]]. @p times, when
-     * non-null, accumulates the batch's gather/replay/accumulate
-     * stage wall times (the Scalar oracle books its whole replay
-     * under 'replay'). Identical arithmetic for any batch
-     * composition — per-shot values never depend on which other
-     * shots share the batch.
+     * fidelities to fs[rows[b]] / rs[rows[b]]. @p times accumulates
+     * the batch's gather/replay/accumulate stage wall times (the
+     * Scalar oracle books its whole replay under 'replay').
+     * Identical arithmetic for any batch composition — per-shot
+     * values never depend on which other shots share the batch.
      */
     void evalGeneralBatch(const FlatRealization *const *batch,
                           const std::size_t *rows, std::size_t qn,
                           EvalScratch &scratch, double *fs, double *rs,
-                          StageTimes *times) const;
+                          StageTimes &times) const;
 
     /**
      * The pool a spec's threaded execution runs on: spec.pool when
@@ -519,6 +583,12 @@ class FidelityEstimator
     PartialEstimate runShardAdaptive(const NoiseModel &noise,
                                      const ShardSpec &spec) const;
 
+    /** Publish a non-pipelined run's stage sums and wall time as
+     *  lastPipelineStats(). */
+    void publishStats(unsigned threads,
+                      std::chrono::steady_clock::time_point wallBegin,
+                      const std::vector<StageTimes> &times) const;
+
     /** Shared body of estimateAdaptive / estimateSweepAdaptive. */
     AdaptiveReport adaptiveRun(const NoiseModel &noise,
                                const std::vector<double> &factors,
@@ -530,12 +600,10 @@ class FidelityEstimator
 
     /**
      * Ensemble-native accumulation of a replayed shot: deviation
-     * masks row-wise against the ideal cache, visible keys gathered
-     * by word transpose from the visible rows only, and deviating
-     * paths materialized as ideal-output word copies plus sparse
-     * deviating-row flips — no per-qubit gatherPath walk.
+     * masks row-wise against the ideal cache, then
+     * accumulateShotRows.
      */
-    void accumulateEnsembleShot(ShotWorkspace &ws,
+    void accumulateEnsembleShot(ShotWorkspace &ws, AccumScratch &as,
                                 ShotAccumulator &acc) const;
 
     /**
@@ -543,17 +611,21 @@ class FidelityEstimator
      * of the shot's noisy output lives at rows + q * stride (a
      * PathEnsemble, or one shot's slice view of an EnsembleBlock),
      * @p dev is the shot's ready-made per-path deviation mask and
-     * @p devRows its deviating qubits in ascending order. @p ws
-     * supplies the keys/path scratch. Arithmetic and order are
-     * exactly accumulateEnsembleShot's — the bit-identity contract
-     * between the slot and block replay engines.
+     * @p devRows its deviating qubits in ascending order. Visible
+     * keys come by word transpose of the visible rows; only the
+     * deviating paths whose key hits an ideal key are materialized,
+     * as ideal-output words XOR the uniform-flip mask, with each
+     * partial row scattered once into exactly the hit paths it flips.
+     * Arithmetic and per-path order are the same for every engine —
+     * the bit-identity contract between the slot and block replay
+     * engines and the scalar oracle.
      */
     void accumulateShotRows(const std::uint64_t *rows,
                             std::size_t stride,
                             const std::complex<double> *phases,
                             const std::uint64_t *dev,
                             const std::vector<std::uint32_t> &devRows,
-                            ShotWorkspace &ws,
+                            AccumScratch &as,
                             ShotAccumulator &acc) const;
     void accumulatePath(ShotAccumulator &acc, std::size_t k,
                         const BitVec &outBits,
@@ -578,14 +650,15 @@ class FidelityEstimator
 
     /**
      * The body of accumulateDeviatingPath after the visible-key hit:
-     * @p owner is the key's ideal-path index (visIndex lookup result).
-     * Split out so accumulateShotRows can check the key BEFORE
-     * materializing a path's output — a deviating path whose key
-     * misses every ideal key contributes nothing and is skipped
-     * without materialization.
+     * @p out holds the path's output words, @p owner is the key's
+     * ideal-path index (visIndex lookup result). Split out so
+     * accumulateShotRows can check the key BEFORE materializing a
+     * path's output — a deviating path whose key misses every ideal
+     * key contributes nothing and is skipped without materialization.
      */
     void accumulateVisiblePath(ShotAccumulator &acc, std::size_t k,
-                               const BitVec &outBits, std::size_t owner,
+                               const std::uint64_t *out,
+                               std::size_t owner,
                                std::complex<double> outPhase) const;
 
     /**
@@ -605,24 +678,71 @@ class FidelityEstimator
     /** The ideal outputs in ensemble layout (deviation-mask oracle). */
     PathEnsemble idealEns;
 
-    /** ancillaPart(ideals[k].bits), precomputed for the Z-only path. */
+    /** ancillaPart(ideals[k].bits), precomputed for the Z-only path,
+     *  and its hash() (the group-map key of an ideal path). */
     std::vector<BitVec> idealAnc;
+    std::vector<std::size_t> idealAncHash;
 
-    /** visIndex[idealVisible[k]], precomputed (== k for unique keys). */
+    /** visIndex.find(visibleKey(ideals[k].bits)), precomputed (== k
+     *  for unique keys). */
     std::vector<std::size_t> idealVisOwner;
 
     /**
-     * ideal visible key -> path index, built once. Resolves both the
+     * Ideal visible key -> owning path index as one flat
+     * open-addressing table (linear probing, multiplicative hashing,
+     * load factor <= 1/2), the same for every key width. Resolves the
      * full-overlap collision check and the reduced-overlap amplitude
-     * in O(1) instead of rescanning all paths.
+     * in O(1) without rescanning paths or chasing list nodes.
      */
-    std::unordered_map<std::uint64_t, std::size_t> visIndex;
+    class VisibleKeyTable
+    {
+      public:
+        static constexpr std::uint32_t kNone = UINT32_MAX;
+
+        /** Map keys[k] -> k; a repeated key keeps its last path.
+         *  Returns true if any key repeated. */
+        bool build(const std::vector<std::uint64_t> &keys);
+
+        /** Owning path of @p key, or kNone. */
+        std::uint32_t
+        find(std::uint64_t key) const
+        {
+            for (std::size_t i = slotOf(key);; i = (i + 1) & mask) {
+                const Slot &s = slots[i];
+                if (s.path == kNone || s.key == key)
+                    return s.path;
+            }
+        }
+
+      private:
+        struct Slot
+        {
+            std::uint64_t key = 0;
+            std::uint32_t path = kNone;
+        };
+
+        std::size_t
+        slotOf(std::uint64_t key) const
+        {
+            return static_cast<std::size_t>(
+                (key * 0x9e3779b97f4a7c15ull) >> shift);
+        }
+
+        std::vector<Slot> slots;
+        std::size_t mask = 0;
+        unsigned shift = 63;
+    };
+
+    VisibleKeyTable visIndex;
 
     /** True if two paths share a visible key (degenerate input). */
     bool dupVisibleKeys = false;
 
     /** Per-word mask of visible (address+bus) bit positions. */
     std::vector<std::uint64_t> visMaskWords;
+
+    /** Words of one path's basis state (BitVec::numWords()). */
+    std::size_t stateWords = 0;
 
     /**
      * ckpts[c]: the whole ensemble's ideal state after the first

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "circuit/cost_model.hh"
+#include "common/simd.hh"
 
 namespace qramsim {
 
@@ -56,14 +58,12 @@ drawPauliFlat(const PauliRates &r, std::uint32_t pos,
  * with the rates scaled by factors[j]. Shared by every model's
  * sampleFlatSweep so the identity guarantee lives in one place.
  */
-template <class R>
 inline void
-drawPauliFlatSweep(const double *tx, const double *txy,
-                   const double *txyz, std::size_t n, double cut,
-                   std::uint32_t pos, std::uint32_t qubit, R &rng,
-                   FlatRealization *outs)
+resolvePauliSweep(double u, const double *tx, const double *txy,
+                  const double *txyz, std::size_t n, double cut,
+                  std::uint32_t pos, std::uint32_t qubit,
+                  FlatRealization *outs)
 {
-    const double u = rng.uniform();
     if (u >= cut)
         return; // no event at any sweep point
     for (std::size_t j = 0; j < n; ++j) {
@@ -74,6 +74,18 @@ drawPauliFlatSweep(const double *tx, const double *txy,
         else if (u < txyz[j])
             outs[j].push(pos, qubit, PauliKind::Z);
     }
+}
+
+/** resolvePauliSweep of one uniform drawn from @p rng. */
+template <class R>
+inline void
+drawPauliFlatSweep(const double *tx, const double *txy,
+                   const double *txyz, std::size_t n, double cut,
+                   std::uint32_t pos, std::uint32_t qubit, R &rng,
+                   FlatRealization *outs)
+{
+    resolvePauliSweep(rng.uniform(), tx, txy, txyz, n, cut, pos, qubit,
+                      outs);
 }
 
 /**
@@ -132,14 +144,58 @@ siteCuts(const SampleSites &ss, const CounterRng &)
     return ss.cutCtr.data();
 }
 
+/** A site whose raw draw @p r passed its rejection cut: the
+ *  generator's bits→uniform mapping and the original threshold
+ *  compares. */
+template <class R>
+inline void
+resolveSite(const SampleSites::Site &s, std::uint64_t r,
+            FlatRealization &out)
+{
+    const double u = R::uniformFromBits(r);
+    if (u < s.tx)
+        out.push(s.pos, s.qubit, PauliKind::X);
+    else if (u < s.txy)
+        out.push(s.pos, s.qubit, PauliKind::Y);
+    else if (u < s.txyz)
+        out.push(s.pos, s.qubit, PauliKind::Z);
+}
+
+/**
+ * The counter-stream site filter: the active tier's counterSiteMask
+ * kernel tests up to 64 sites' draws against their cuts at once, and
+ * fn(i, raw) runs for the passing sites only, in ascending i, with
+ * the raw draw recomputed from the counter. @p rng ends advanced past
+ * all @p n draws — the same visits, draws and final stream state as
+ * one bits() call and one compare per site.
+ */
+template <class Fn>
+inline void
+filterCounterSites(CounterRng &rng, const std::uint64_t *cut,
+                   std::size_t n, Fn &&fn)
+{
+    const auto siteMask = simd::activeKernels().counterSiteMask;
+    for (std::size_t base = 0; base < n; base += 64) {
+        const std::size_t nb = std::min<std::size_t>(64, n - base);
+        const std::uint64_t ctr = rng.counter();
+        std::uint64_t m = siteMask(ctr, cut + base, nb);
+        while (m) {
+            const unsigned i = static_cast<unsigned>(__builtin_ctzll(m));
+            m &= m - 1;
+            fn(base + i, CounterRng::outputAt(ctr, i + 1));
+        }
+        rng.advance(nb);
+    }
+}
+
 /**
  * Stream a flattened schedule: per site one raw engine draw and one
  * integer compare against the precomputed rejection cut (almost
  * always a miss at physical rates — no double conversion at all);
- * a potential event resolves through the generator's bits→uniform
- * mapping and the original threshold compares. rng.uniform() is
+ * a potential event resolves through resolveSite. rng.uniform() is
  * uniformFromBits(one engine step), so the consumed stream and every
- * decision are identical to drawPauliFlat over the Gate walk.
+ * decision are identical to drawPauliFlat over the Gate walk. The
+ * counter stream runs the compares through filterCounterSites.
  */
 template <class R>
 void
@@ -149,16 +205,16 @@ sampleSitesFlat(const SampleSites &ss, R &rng, FlatRealization &out)
     const SampleSites::Site *s = ss.sites.data();
     const std::uint64_t *cut = siteCuts(ss, rng);
     const std::size_t n = ss.sites.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t r = rng.bits();
-        if (r <= cut[i]) {
-            const double u = R::uniformFromBits(r);
-            if (u < s[i].tx)
-                out.push(s[i].pos, s[i].qubit, PauliKind::X);
-            else if (u < s[i].txy)
-                out.push(s[i].pos, s[i].qubit, PauliKind::Y);
-            else if (u < s[i].txyz)
-                out.push(s[i].pos, s[i].qubit, PauliKind::Z);
+    if constexpr (std::is_same_v<R, CounterRng>) {
+        filterCounterSites(rng, cut, n,
+                           [&](std::size_t i, std::uint64_t r) {
+                               resolveSite<R>(s[i], r, out);
+                           });
+    } else {
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t r = rng.bits();
+            if (r <= cut[i])
+                resolveSite<R>(s[i], r, out);
         }
     }
     out.sortByPos();
@@ -484,6 +540,14 @@ GateNoise::prepareSweep(const FeynmanExecutor &exec,
         }
         swCut[gi] = cut;
     }
+    // Per-site integer rejection cuts of swCut for the counter
+    // stream's site filter (see SampleSites::cutCtr).
+    std::vector<std::uint64_t> gateCut(ng);
+    for (std::size_t gi = 0; gi < ng; ++gi)
+        gateCut[gi] = CounterRng::cutFor(swCut[gi]);
+    swSiteCutCtr.resize(sched.sites.size());
+    for (std::size_t i = 0; i < sched.sites.size(); ++i)
+        swSiteCutCtr[i] = gateCut[sched.gate[i]];
     sweepFactors.assign(factors, factors + n);
     sweepFingerprint = fp;
     sweepPreparedFor = c;
@@ -514,7 +578,28 @@ GateNoise::sampleFlatSweepImpl(const FeynmanExecutor &exec, R &rng,
         // draw order, same comparisons, no Gate walk.
         const SampleSites::Site *s = sched.sites.data();
         const std::uint32_t *sg = sched.gate.data();
-        for (std::size_t i = 0; i < sched.sites.size(); ++i) {
+        const std::size_t ns = sched.sites.size();
+        if constexpr (std::is_same_v<R, CounterRng>) {
+            // A site whose draw is above its integer cut is above
+            // swCut at every point, so only the filter's candidates
+            // resolve.
+            if (swSiteCutCtr.size() == ns) {
+                filterCounterSites(
+                    rng, swSiteCutCtr.data(), ns,
+                    [&](std::size_t i, std::uint64_t r) {
+                        const std::size_t gi = sg[i];
+                        resolvePauliSweep(
+                            CounterRng::uniformFromBits(r),
+                            swTx.data() + gi * n, swTxy.data() + gi * n,
+                            swTxyz.data() + gi * n, n, swCut[gi],
+                            s[i].pos, s[i].qubit, outs);
+                    });
+                for (std::size_t j = 0; j < n; ++j)
+                    outs[j].sortByPos();
+                return;
+            }
+        }
+        for (std::size_t i = 0; i < ns; ++i) {
             const std::size_t gi = sg[i];
             drawPauliFlatSweep(swTx.data() + gi * n,
                                swTxy.data() + gi * n,

@@ -431,6 +431,10 @@ class GateNoise : public NoiseModel
     mutable std::uint64_t sweepFingerprint = 0;
     mutable std::vector<double> swTx, swTxy, swTxyz;
     mutable std::vector<double> swCut;
+
+    /** CounterRng::cutFor(swCut[gate]) per schedule site: the cut
+     *  row of the counter stream's sweep site filter. */
+    mutable std::vector<std::uint64_t> swSiteCutCtr;
 };
 
 /**

@@ -429,6 +429,31 @@ TEST(Fidelity, DuplicateVisibleKeySuperposition)
                               qc.busQubit, dup, zchan, 40, 92);
 }
 
+TEST(Fidelity, ManyPartialRowsAndGroupsMatchSeed)
+{
+    // Depolarizing 1e-2 on bucket-brigade m=6: most shots carry
+    // several X/Y events, so many rows deviate on only some paths
+    // (partial rows) and deviating paths spread over many ancilla
+    // groups — the scatter-built outputs, the visible-key table and
+    // the group map's insertion order all get exercised against the
+    // seed estimator, for a uniform and a duplicate-key input.
+    Rng rng(20261019);
+    Memory mem = Memory::random(6, rng);
+    QueryCircuit qc = BucketBrigadeQram(6).build(mem);
+    GateNoise depol(PauliRates::depolarizing(1e-2));
+    expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
+                              qc.busQubit,
+                              AddressSuperposition::uniform(6), depol,
+                              24, 611);
+
+    AddressSuperposition dup;
+    dup.addresses = {9, 41, 9, 0, 63, 41, 17};
+    const double a = 1.0 / std::sqrt(7.0);
+    dup.amps.assign(dup.addresses.size(), {a, 0.0});
+    expectEnginesAndSeedAgree(qc.circuit, qc.addressQubits,
+                              qc.busQubit, dup, depol, 24, 612);
+}
+
 TEST(Fidelity, RandomSuperpositionRoundTrip)
 {
     // AddressSuperposition::random: complex amplitudes on every
