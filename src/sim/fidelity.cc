@@ -944,9 +944,11 @@ FidelityEstimator::shotFidelity(const FlatRealization &errors,
                                 double &fullOut,
                                 double &reducedOut) const
 {
-    ShotWorkspace ws;
-    AccumScratch as;
-    shotFlat(errors, ws, as, fullOut, reducedOut);
+    ScratchLease scratch;
+    if (scratch->wss.empty())
+        scratch->wss.resize(1);
+    shotFlat(errors, scratch->wss[0], scratch->accum, fullOut,
+             reducedOut);
 }
 
 void
@@ -956,9 +958,7 @@ FidelityEstimator::shotFidelity(const ErrorRealization &errors,
 {
     FlatRealization flat;
     exec.flatten(errors, flat);
-    ShotWorkspace ws;
-    AccumScratch as;
-    shotFlat(flat, ws, as, fullOut, reducedOut);
+    shotFidelity(flat, fullOut, reducedOut);
 }
 
 std::size_t
